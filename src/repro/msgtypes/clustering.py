@@ -31,6 +31,7 @@ from repro.core.segments import Segment, unique_segments
 from repro.msgtypes.similarity import (
     GAP_PENALTY,
     alignment_dissimilarities,
+    alignment_work,
     indexed_sequences,
 )
 from repro.net.trace import Trace
@@ -105,15 +106,19 @@ def cluster_message_types(
     sensitivity: float = DEFAULT_SENSITIVITY,
     smoothness: float | None = None,
     min_segment_length: int = 2,
+    known_distances: np.ndarray | None = None,
 ) -> MessageTypeResult:
     """Cluster *message_count* messages by continuous segment similarity.
 
     *matrix* is the unique-segment dissimilarity matrix the alignment
     scores segment pairs against; pass the field-type pipeline's
     ``result.matrix`` to type messages from the exact state the field
-    stage computed (built from scratch when None).  Runs inside
-    ``msgtypes.similarity`` and ``msgtypes.cluster`` spans and reports
-    ``repro_msgtypes_*`` metrics.
+    stage computed (built from scratch when None).  *known_distances*
+    is an earlier run's ``distances`` over the first K of these
+    messages, with their segments unchanged: only pairs involving a
+    later message are aligned (see :func:`alignment_dissimilarities`).
+    Runs inside ``msgtypes.similarity`` and ``msgtypes.cluster`` spans
+    and reports ``repro_msgtypes_*`` metrics.
     """
     tracer = get_tracer()
     with tracer.span(
@@ -126,10 +131,13 @@ def cluster_message_types(
         index_of = {u.data: i for i, u in enumerate(matrix.segments)}
         indexed = indexed_sequences(segments, message_count, index_of)
         distances = alignment_dissimilarities(
-            indexed, matrix.values, gap_penalty
+            indexed, matrix.values, gap_penalty, known_distances=known_distances
         )
         elapsed = time.perf_counter() - started
-        similarity_span.set(unique_segments=len(matrix))
+        known = 0 if known_distances is None else len(known_distances)
+        similarity_span.set(
+            unique_segments=len(matrix), **alignment_work(indexed, known)
+        )
     with tracer.span("msgtypes.cluster", messages=message_count) as cluster_span:
         # Algorithm 1 over the message distances: the message matrix is
         # wrapped as a DissimilarityMatrix (configure only reads counts,

@@ -474,6 +474,10 @@ class AnalysisSession:
         self._rows_since_recluster = 0
         self._dirty = False
         self._provisional: dict[int, int] = {}
+        #: Message distances of the last msgtypes snapshot.  Messages
+        #: and their segments are only ever appended, so the next
+        #: snapshot aligns only the pairs that involve newer messages.
+        self._message_distances: np.ndarray | None = None
         self._appends = 0
         self._reclusters = 0
         self._compactions = 0
@@ -1010,10 +1014,13 @@ class AnalysisSession:
                         len(self._messages),
                         matrix=result.matrix,
                         trace=trace,
+                        known_distances=self._message_distances,
                     )
                     if self.msgtypes
                     else None
                 )
+                if types is not None:
+                    self._message_distances = types.distances
                 machine = (
                     infer_session_machine(trace, types, labeled_trace=trace)
                     if self.statemachine and types is not None

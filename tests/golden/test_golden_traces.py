@@ -12,8 +12,9 @@ checked-in expected artifacts:
 - the cluster-label multiset — sorted cluster sizes plus the noise
   count (pins DBSCAN and refinement),
 - the message-type stage outcome — type count, cluster-size multiset,
-  noise and epsilon (pins the continuous segment-similarity alignment
-  and the message-level DBSCAN),
+  noise, epsilon and the SHA-256 of the message-distance matrix (pins
+  the continuous segment-similarity alignment bit-for-bit and the
+  message-level DBSCAN),
 - the boundary-refinement comparison — nemesys with and without the
   PCA pass, including the shift/merge/split decision counts (pins the
   refiner's eigenvector logic and its composition with clustering).
@@ -93,6 +94,7 @@ def golden_run(protocol: str, matrix_options: MatrixBuildOptions | None = None) 
             "sizes": [int(size) for size in types.sizes()],
             "noise": int(types.noise_count),
             "epsilon_hex": type_epsilon.hex(),
+            "distances_sha256": matrix_checksum(types.distances),
         },
         "refinement": refinement_block(trace, config),
     }

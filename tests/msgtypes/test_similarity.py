@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.core.segments import Segment
+from repro.errors import IngestError
 from repro.msgtypes.similarity import (
     message_dissimilarity_matrix,
     segment_sequences,
@@ -23,6 +24,12 @@ class TestSegmentSequences:
         assert [s.data for s in sequences[0]] == [b"aa", b"bb"]
         assert [s.data for s in sequences[1]] == [b"cc"]
         assert sequences[2] == []
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_message_index_out_of_range_raises(self, index):
+        segments = [seg(b"aa", 0), seg(b"bb", index)]
+        with pytest.raises(IngestError, match=f"message {index}, outside the 3"):
+            segment_sequences(segments, 3)
 
 
 class TestMessageDissimilarity:

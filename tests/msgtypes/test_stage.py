@@ -6,13 +6,19 @@ The stage promises parity by construction — the batch API, the raw
 field pipeline's dissimilarity matrix, so the message distances (and
 hence the DBSCAN labels) must be identical bit-for-bit.  These tests
 pin that promise end to end, plus the report round-trip that carries
-the stage's summary.
+the stage's summary, and the session's reuse of the message distances
+of its previous snapshot.
 """
+
+from dataclasses import replace
 
 from repro import AnalysisSession, api
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.pipeline import ClusteringConfig, FieldTypeClusterer
 from repro.msgtypes import cluster_message_types
+from repro.net.packet import build_udp_ipv4_frame
+from repro.net.pcap import LINKTYPE_ETHERNET, PcapPacket, write_pcap
+from repro.obs.tracer import Tracer
 from repro.protocols import get_model
 from repro.report import AnalysisReport
 from repro.segmenters.groundtruth import GroundTruthSegmenter
@@ -140,3 +146,73 @@ class TestReport:
         assert restored.msgtype_sizes == report.msgtype_sizes
         assert restored.msgtype_noise == report.msgtype_noise
         assert restored.msgtype_epsilon == report.msgtype_epsilon
+
+
+def write_capture(path, messages) -> None:
+    packets = [
+        PcapPacket(
+            timestamp=m.timestamp,
+            data=build_udp_ipv4_frame(
+                m.data,
+                src_ip=m.src_ip,
+                dst_ip=m.dst_ip,
+                src_port=m.src_port,
+                dst_port=m.dst_port,
+            ),
+        )
+        for m in messages
+    ]
+    write_pcap(path, packets, linktype=LINKTYPE_ETHERNET)
+
+
+def dns_chunks_with_retransmits(chunk: int = 15, chunks: int = 4) -> list[list]:
+    """DNS chunks where each chunk re-sends two messages of the chunk
+    before it and one of its own, with timestamps kept increasing."""
+    generated = get_model("dns").generate(chunk * chunks, seed=SEED).messages
+    out, clock = [], 0.0
+    for index in range(chunks):
+        fresh = generated[index * chunk : (index + 1) * chunk]
+        resent = (out[-1][:2] if out else []) + fresh[:1]
+        stamped = []
+        for message in fresh + resent:
+            clock += 0.01
+            stamped.append(replace(message, timestamp=clock))
+        out.append(stamped)
+    return out
+
+
+class TestSnapshotReuse:
+    def test_every_snapshot_bit_equals_batch_over_its_prefix(self, tmp_path):
+        tracer = Tracer()
+        session = AnalysisSession(
+            serial_config(), protocol="dns", msgtypes=True, tracer=tracer
+        )
+        prefix, counts = [], []
+        for index, chunk in enumerate(dns_chunks_with_retransmits()):
+            path = tmp_path / f"chunk{index}.pcap"
+            write_capture(path, chunk)
+            session.append(path)
+            streamed = session.snapshot()
+            prefix += chunk
+            whole = tmp_path / f"prefix{index}.pcap"
+            write_capture(whole, prefix)
+            batch = api.run_analysis(
+                whole, serial_config(), protocol="dns", msgtypes=True
+            )
+            assert streamed.msgtypes is not None and batch.msgtypes is not None
+            assert len(streamed.trace) < len(prefix)  # retransmits dropped
+            assert (
+                streamed.msgtypes.distances.tobytes()
+                == batch.msgtypes.distances.tobytes()
+            )
+            assert list(streamed.msgtypes.labels) == list(batch.msgtypes.labels)
+            counts.append(len(streamed.trace))
+
+        spans = tracer.find("msgtypes.similarity")
+        assert len(spans) == len(counts)
+        assert spans[0].attributes["pairs_reused"] == 0
+        for known, count, span in zip(counts, counts[1:], spans[1:]):
+            new_pairs = count * (count - 1) // 2 - known * (known - 1) // 2
+            assert span.attributes["pairs_reused"] == known * (known - 1) // 2
+            assert 0 < span.attributes["pairs_aligned"] <= new_pairs
+            assert span.attributes["dp_cells"] > 0
