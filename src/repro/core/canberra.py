@@ -19,17 +19,20 @@ Two layers:
   (see DESIGN.md for the rationale where the paper under-specifies).
 
 On top of the per-pair functions sit the **batch kernels** the matrix
-builder uses, in two interchangeable flavors per length bin:
+builder uses, in two interchangeable flavors:
 
-- *binned* (:func:`pairwise_equal_length`, :func:`cross_length_block`)
-  — whole ``(len_a, len_b)`` bins at once.  Because byte values live in
-  ``[0, 255]``, every Canberra term is one of 256×256 possible values;
-  uint8 blocks are resolved through a precomputed 512 KB lookup table
+- *binned* (:func:`pairwise_equal_length`, :func:`cross_length_rows`)
+  — whole blocks at once.  Because byte values live in ``[0, 255]``,
+  every Canberra term is one of 256×256 possible values; uint8 blocks
+  are resolved through a precomputed 512 KB lookup table
   (:func:`byte_term_lut`), replacing the abs/add/divide/where chain by
   a single gather.  Equal-length bins compute only the upper triangle
-  and mirror it (the terms are exactly symmetric); unequal-length bins
-  evaluate all sliding offsets simultaneously.  Work is tiled to a
-  fixed temporary budget so peak memory stays bounded.
+  and mirror it (the terms are exactly symmetric).  The cross-length
+  kernel compares a short block with a whole group of longer blocks:
+  their m-byte windows are collected once (:func:`sliding_windows`),
+  deduplicated when m ≤ :data:`WINDOW_KEY_BYTES`, scored, and reduced
+  to each longer segment's sliding minimum.  Work is tiled to a fixed
+  temporary budget so peak memory stays bounded.
 - *pairwise* (:func:`pairwise_equal_length_reference`,
   :func:`cross_length_block_reference`) — one Python-level
   :func:`canberra_distance` / :func:`canberra_dissimilarity` call per
@@ -38,6 +41,8 @@ builder uses, in two interchangeable flavors per length bin:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,38 +203,13 @@ def cross_length_block(
     """Pairwise dissimilarities between a length-m block and a length-n block.
 
     *short_block* is (a, m), *long_block* is (b, n) with m < n.  Returns
-    an (a, b) matrix of length-tolerant Canberra dissimilarities.  The
-    sliding-overlap minimum is evaluated across all offsets of all pairs
-    simultaneously; uint8 blocks gather their terms from
-    :func:`byte_term_lut` instead of recomputing them.
+    an (a, b) matrix of length-tolerant Canberra dissimilarities — the
+    one-long-block call of :func:`cross_length_rows`, which the matrix
+    builder runs against every longer block of a short length at once.
     """
     short_block = np.asarray(short_block)
-    long_block = np.asarray(long_block)
-    binned = short_block.dtype == np.uint8 and long_block.dtype == np.uint8
-    if not binned:
-        short_block = np.asarray(short_block, dtype=np.float64)
-        long_block = np.asarray(long_block, dtype=np.float64)
-    a, m = short_block.shape
-    b, n = long_block.shape
-    if m >= n:
-        raise ValueError(f"short block must be shorter: {m} >= {n}")
-    # (b, n-m+1, m) sliding windows over every long segment.
-    windows = np.lib.stride_tricks.sliding_window_view(long_block, m, axis=1)
-    offsets = windows.shape[1]
-    d_min = np.full((a, b), np.inf, dtype=np.float64)
-    chunk_rows = _chunk_rows_for(b * offsets * m)
-    lut = byte_term_lut() if binned else None
-    for start in range(0, a, chunk_rows):
-        stop = min(start + chunk_rows, a)
-        left = short_block[start:stop, np.newaxis, np.newaxis, :]  # (c,1,1,m)
-        right = windows[np.newaxis, :, :, :]  # (1,b,offsets,m)
-        if binned:
-            means = lut[left, right].mean(axis=3)  # (c, b, offsets)
-        else:
-            means = _terms_mean_float(left, right)
-        d_min[start:stop, :] = means.min(axis=2)
-    penalty = penalty_factor + (1.0 - penalty_factor) * d_min
-    return (m * d_min + (n - m) * penalty) / n
+    windows = sliding_windows([long_block], short_block.shape[1])
+    return cross_length_rows(short_block, windows, 0, short_block.shape[0], penalty_factor)
 
 
 def pairwise_equal_length_rows(
@@ -286,9 +266,89 @@ def pairwise_equal_length_rows(
     return out
 
 
-def cross_length_block_rows(
+#: Longest window the cross-length kernel deduplicates: up to 8 bytes
+#: pack into one big-endian ``uint64`` key, so ``np.unique`` sorts plain
+#: integers.  Longer windows would need a void-row ``np.unique``, which
+#: costs more than the gathers it saves.
+WINDOW_KEY_BYTES = 8
+
+
+@dataclass(frozen=True)
+class SlidingWindows:
+    """The m-byte windows of a group of longer blocks.
+
+    Windows are numbered block by block, row by row, offset by offset,
+    so each longer segment owns one contiguous run of them.  uint8
+    windows of at most :data:`WINDOW_KEY_BYTES` bytes are deduplicated:
+    *unique* holds the distinct windows and *inverse* maps every window
+    to its row there.  Otherwise both are None and the kernel slides
+    over the blocks directly.
+    """
+
+    length: int
+    long_blocks: tuple[np.ndarray, ...]
+    unique: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+
+    @property
+    def count(self) -> int:
+        """Windows collected over every longer segment."""
+        return sum(
+            block.shape[0] * (block.shape[1] - self.length + 1)
+            for block in self.long_blocks
+        )
+
+    @property
+    def unique_count(self) -> int:
+        """Windows the kernel scores: the distinct ones when deduplicated."""
+        return self.count if self.unique is None else self.unique.shape[0]
+
+
+def sliding_windows(long_blocks, length: int) -> SlidingWindows:
+    """Collect the *length*-byte windows of *long_blocks*, deduplicated if they fit a key.
+
+    Every block is ``(count, n)`` with ``n > length``.  The windows are
+    packed into big-endian ``uint64`` keys and deduplicated with one
+    ``np.unique``; decoding the distinct keys gives back their exact
+    bytes, so scoring a distinct window is the same gather as scoring
+    any of its copies.
+    """
+    blocks = tuple(np.asarray(block) for block in long_blocks)
+    for block in blocks:
+        if length >= block.shape[1]:
+            raise ValueError(f"short block must be shorter: {length} >= {block.shape[1]}")
+    if (
+        not blocks
+        or not 0 < length <= WINDOW_KEY_BYTES
+        or any(block.dtype != np.uint8 for block in blocks)
+    ):
+        return SlidingWindows(length, blocks)
+    keys = np.concatenate([_window_keys(block, length).ravel() for block in blocks])
+    unique_keys, inverse = np.unique(keys, return_inverse=True)
+    shifts = np.arange(8 * (length - 1), -1, -8, dtype=np.uint64)
+    unique = (unique_keys[:, np.newaxis] >> shifts).astype(np.uint8)
+    return SlidingWindows(length, blocks, unique, inverse.reshape(-1))
+
+
+def _window_keys(block: np.ndarray, length: int) -> np.ndarray:
+    """Big-endian ``uint64`` key of every window: ``(count, n - length + 1)``."""
+    offsets = block.shape[1] - length + 1
+    keys = block[:, :offsets].astype(np.uint64)
+    for column in range(1, length):
+        keys <<= np.uint64(8)
+        keys |= block[:, column : column + offsets]
+    return keys
+
+
+def _penalized(d_min: np.ndarray, m: int, n: int, penalty_factor: float) -> np.ndarray:
+    """:func:`canberra_dissimilarity`'s length penalty over sliding minima."""
+    penalty = penalty_factor + (1.0 - penalty_factor) * d_min
+    return (m * d_min + (n - m) * penalty) / n
+
+
+def cross_length_rows(
     short_block: np.ndarray,
-    long_block: np.ndarray,
+    windows: SlidingWindows,
     row_start: int,
     row_stop: int,
     penalty_factor: float = DEFAULT_PENALTY_FACTOR,
@@ -296,52 +356,93 @@ def cross_length_block_rows(
     out: np.ndarray | None = None,
     cells_budget: int | None = None,
 ) -> np.ndarray:
-    """Rows ``[row_start, row_stop)`` of one cross-length bin.
+    """Rows ``[row_start, row_stop)`` of a short block against a window group.
 
-    Tile-level entry point for the threaded matrix scheduler: returns
-    (or fills *out* with) the ``(row_stop - row_start, b)`` slice of
-    :func:`cross_length_block`'s result covering the given rows of the
-    short block.  The sliding minimum of each pair only reads that
-    pair's own windows, so the tiled values are bit-identical to the
-    whole-bin kernel.  *cells_budget* bounds the per-chunk temporary
-    exactly as in :func:`pairwise_equal_length_rows`.
+    The cross-length kernel: *short_block* is ``(a, m)`` and *windows*
+    holds the m-byte windows of every longer block it is compared to.
+    Returns (or fills *out* with) the ``(row_stop - row_start, b)``
+    dissimilarities, ``b`` the longer segments in block order.
+
+    Deduplicated windows are scored once with
+    :func:`equal_length_cross_rows`, and each longer segment takes the
+    minimum over its own run of them by index gather.  Otherwise the
+    rows slide over each longer block in turn.  Either way a window's
+    value is the same LUT gather reduced by the same mean over its m
+    terms, and ``min`` is exact, so the result is bit-identical to a
+    per-block sliding minimum.  *cells_budget* bounds every per-chunk
+    temporary: the LUT gather, the window means and the minimum gather.
     """
     short_block = np.asarray(short_block)
-    long_block = np.asarray(long_block)
-    binned = short_block.dtype == np.uint8 and long_block.dtype == np.uint8
+    m = windows.length
+    count, length = short_block.shape
+    if length != m:
+        raise ValueError(f"short block length {length} != window length {m}")
+    if not 0 <= row_start <= row_stop <= count:
+        raise ValueError(
+            f"tile rows [{row_start}, {row_stop}) outside block of {count} rows"
+        )
+    long_blocks = windows.long_blocks
+    shape = (row_stop - row_start, sum(block.shape[0] for block in long_blocks))
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    elif out.shape != shape:
+        raise ValueError(f"out shape {out.shape} != {shape}")
+    if m == 0:
+        # An empty segment has no overlap with any longer one.
+        out[...] = 1.0
+        return out
+    unique = windows.unique
+    binned = short_block.dtype == np.uint8 and all(
+        block.dtype == np.uint8 for block in long_blocks
+    )
     if not binned:
         short_block = np.asarray(short_block, dtype=np.float64)
-        long_block = np.asarray(long_block, dtype=np.float64)
-    a, m = short_block.shape
-    b, n = long_block.shape
-    if m >= n:
-        raise ValueError(f"short block must be shorter: {m} >= {n}")
-    if not 0 <= row_start <= row_stop <= a:
-        raise ValueError(
-            f"tile rows [{row_start}, {row_stop}) outside block of {a} rows"
-        )
-    rows = row_stop - row_start
-    if out is None:
-        out = np.empty((rows, b), dtype=np.float64)
-    elif out.shape != (rows, b):
-        raise ValueError(f"out shape {out.shape} != {(rows, b)}")
-    windows = np.lib.stride_tricks.sliding_window_view(long_block, m, axis=1)
-    offsets = windows.shape[1]
-    chunk_rows = _chunk_rows_for(b * offsets * m, cells_budget)
+        long_blocks = [np.asarray(block, dtype=np.float64) for block in long_blocks]
     lut = byte_term_lut() if binned else None
+    widest = max(
+        (block.shape[0] * (block.shape[1] - m + 1) for block in long_blocks), default=0
+    )
+    if unique is None:
+        cells_per_row = widest * (m + 1)
+    else:
+        cells_per_row = unique.shape[0] * (m + 1) + widest
+    chunk_rows = _chunk_rows_for(cells_per_row, cells_budget)
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        left = short_block[start:stop, np.newaxis, np.newaxis, :]
-        right = windows[np.newaxis, :, :, :]
-        if binned:
-            means = lut[left, right].mean(axis=3)
-        else:
-            means = _terms_mean_float(left, right)
-        d_min = means.min(axis=2)
-        penalty = penalty_factor + (1.0 - penalty_factor) * d_min
-        out[start - row_start : stop - row_start] = (
-            m * d_min + (n - m) * penalty
-        ) / n
+        if unique is not None:
+            # (unique, c): the LUT is exactly symmetric, so scoring the
+            # windows against the rows is the row-major gather
+            # transposed, term for term — and lets the minimum gather
+            # below copy whole rows.
+            scores = equal_length_cross_rows(
+                unique,
+                short_block[start:stop],
+                0,
+                unique.shape[0],
+                cells_budget=cells_budget,
+            )
+        column = first = 0
+        for block in long_blocks:
+            b, n = block.shape
+            offsets = n - m + 1
+            if unique is not None:
+                runs = windows.inverse[first : first + b * offsets].reshape(b, offsets)
+                d_min = scores[runs].min(axis=1).T  # (c, b)
+            else:
+                left = short_block[start:stop, np.newaxis, np.newaxis, :]  # (c,1,1,m)
+                right = np.lib.stride_tricks.sliding_window_view(block, m, axis=1)[
+                    np.newaxis
+                ]  # (1,b,offsets,m)
+                if binned:
+                    means = lut[left, right].mean(axis=3)  # (c, b, offsets)
+                else:
+                    means = _terms_mean_float(left, right)
+                d_min = means.min(axis=2)
+            out[start - row_start : stop - row_start, column : column + b] = _penalized(
+                d_min, m, n, penalty_factor
+            )
+            column += b
+            first += b * offsets
     return out
 
 

@@ -4,15 +4,18 @@ Builds the full symmetric matrix **D** used as DBSCAN's precomputed
 metric and as the source of the k-NN distance distributions for the
 epsilon auto-configuration.  Computation is grouped by segment length so
 that equal-length pairs use the plain normalized Canberra distance and
-unequal-length pairs use the sliding/penalty extension.
+unequal-length pairs use the sliding/penalty extension.  Per length m
+there are two tasks: the equal-length bin, and one cross task pairing
+the length-m block with every longer block, so the longer segments'
+m-byte windows are collected (and deduplicated) once per short length.
 
-Two interchangeable **kernels** fill each per-length-pair bin
+Two interchangeable **kernels** fill each task
 (:attr:`MatrixBuildOptions.kernel`):
 
-- ``"binned"`` (default) — the vectorized batch kernel: every bin is
+- ``"binned"`` (default) — the vectorized batch kernel: every task is
   computed at once via a byte-term lookup table, triangle mirroring for
-  equal lengths and an all-offsets sliding minimum for unequal lengths
-  (see :mod:`repro.core.canberra`);
+  equal lengths and a sliding minimum over deduplicated windows for
+  unequal lengths (see :mod:`repro.core.canberra`);
 - ``"pairwise"`` — the per-pair reference oracle (one
   ``canberra_dissimilarity`` call per pair), kept so parity and
   golden-trace tests can pin the fast kernel's numerics (agreement
@@ -20,11 +23,11 @@ Two interchangeable **kernels** fill each per-length-pair bin
 
 Four interchangeable execution paths produce bit-identical values:
 
-- **serial** — one process walks the per-length-pair blocks in order
+- **serial** — one process walks the tasks in order
   (the reference implementation, and the automatic fallback when the
   segment count is below :attr:`MatrixBuildOptions.parallel_threshold`);
 - **threads** (the default parallel backend for the binned kernel) —
-  the length bins, sub-tiled to the kernel's ~160 MB temporary budget,
+  the tasks, sub-tiled to the kernel's ~160 MB temporary budget,
   form a work queue scheduled longest-processing-time-first onto a
   :class:`concurrent.futures.ThreadPoolExecutor`.  The numpy LUT
   gathers release the GIL, so worker threads share the uint8 blocks
@@ -65,6 +68,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,15 +76,15 @@ from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
-    cross_length_block,
     cross_length_block_reference,
-    cross_length_block_rows,
+    cross_length_rows,
     equal_length_cross_block,
     equal_length_cross_block_reference,
     equal_length_cross_rows,
     pairwise_equal_length,
     pairwise_equal_length_reference,
     pairwise_equal_length_rows,
+    sliding_windows,
 )
 from repro.core.membound import divide_bound, rows_per_block
 from repro.core.segments import UniqueSegment
@@ -124,6 +128,13 @@ DTYPES = (DTYPE_FLOAT64, DTYPE_FLOAT32)
 STORAGE_RAM = "ram"
 STORAGE_MEMMAP = "memmap"
 STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
+
+#: How many chunk budgets the threaded scheduler carves from each
+#: worker's share of :data:`repro.core.canberra.CHUNK_CELL_BUDGET`.  A
+#: cross task against every longer length fills its chunks, which
+#: per-pair bins seldom did; at a quarter of the share the measured peak
+#: RSS of threaded builds stays at or below the per-pair scheduler's.
+CHUNKS_PER_WORKER = 4
 
 _KNN_HELP = (
     "Seconds per all-k nearest-neighbor column extraction "
@@ -341,93 +352,120 @@ def _segment_blocks(
     return blocks
 
 
+class _Task(NamedTuple):
+    """One independent work item of a build or an append.
+
+    ``"same"`` is the upper triangle of one length bin (*block_b* is
+    None), ``"eqcross"`` an equal-length rectangle between disjoint
+    index sets (the append path's new-vs-old cells), and ``"cross"`` a
+    short length m against a group of longer blocks: *block_b* is the
+    tuple of those blocks and *len_b* the longest of their lengths.
+    *rows* and *cols* are the global matrix indices the result scatters
+    to (for a cross task, the longer blocks' indices in block order).
+    """
+
+    kind: str
+    len_a: int
+    len_b: int
+    block_a: np.ndarray
+    block_b: np.ndarray | tuple[np.ndarray, ...] | None
+    penalty_factor: float
+    kernel: str
+    rows: list[int]
+    cols: list[int]
+
+
+def _cross_task(
+    short: tuple[np.ndarray, list[int]],
+    longer: list[tuple[np.ndarray, list[int]]],
+    penalty_factor: float,
+    kernel: str,
+) -> _Task:
+    """The cross-length task of one short block against its longer blocks."""
+    block, rows = short
+    return _Task(
+        "cross",
+        block.shape[1],
+        max(long_block.shape[1] for long_block, _ in longer),
+        block,
+        tuple(long_block for long_block, _ in longer),
+        penalty_factor,
+        kernel,
+        rows,
+        [index for _, indices in longer for index in indices],
+    )
+
+
 def _block_tasks(
     lengths: list[int],
     blocks: dict[int, np.ndarray],
     penalty_factor: float,
     kernel: str,
     by_length: dict[int, list[int]],
-) -> list[tuple]:
-    """Independent work items: one per length pair (including li == lj).
+) -> list[_Task]:
+    """Work items of a batch build: per length, its bin and one cross task.
 
-    Every task carries the global matrix indices its rows and columns
-    scatter to (elements 7 and 8), so the compute/scatter code never has
-    to reconstruct them from the length maps — which also lets the
-    append path emit rectangular tasks whose row and column index sets
-    come from *different* segment generations.
+    The cross task pairs the length-m block with every longer block, so
+    the m-byte windows of the longer segments are collected (and
+    deduplicated) once per short length rather than once per length pair.
     """
     tasks = []
-    for li, length_a in enumerate(lengths):
+    for li, length in enumerate(lengths):
         tasks.append(
-            (
+            _Task(
                 "same",
-                length_a,
-                length_a,
-                blocks[length_a],
+                length,
+                length,
+                blocks[length],
                 None,
                 penalty_factor,
                 kernel,
-                by_length[length_a],
-                by_length[length_a],
+                by_length[length],
+                by_length[length],
             )
         )
-        for length_b in lengths[li + 1 :]:
+        longer = [(blocks[n], by_length[n]) for n in lengths[li + 1 :]]
+        if longer:
             tasks.append(
-                (
-                    "cross",
-                    length_a,
-                    length_b,
-                    blocks[length_a],
-                    blocks[length_b],
-                    penalty_factor,
-                    kernel,
-                    by_length[length_a],
-                    by_length[length_b],
+                _cross_task(
+                    (blocks[length], by_length[length]), longer, penalty_factor, kernel
                 )
             )
     return tasks
 
 
-def _task_pair_count(task: tuple) -> int:
+def _task_pair_count(task: _Task) -> int:
     """Unique segment pairs one block task covers."""
-    kind, _, _, block_a, block_b = task[:5]
-    if kind == "same":
-        count = block_a.shape[0]
-        return count * (count - 1) // 2
-    # "cross" (different lengths) and "eqcross" (equal lengths, disjoint
-    # row/column index sets — the append path's new-vs-old rectangles)
-    # both cover every (row, column) pair once.
-    return block_a.shape[0] * block_b.shape[0]
+    return _tile_pair_count(task, 0, task.block_a.shape[0])
 
 
-def _task_tiles(tasks: list[tuple]) -> list[tuple[int, int, int, int]]:
+def _task_tiles(tasks: list[_Task]) -> list[tuple[int, int, int, int]]:
     """The threaded scheduler's work queue: ``(task, row_start, row_stop, cost)``.
 
-    Each length bin is sub-tiled along its rows so one tile's gather
-    stays inside the kernel's fixed temporary budget
+    Each task is sub-tiled along its rows so one tile's gather stays
+    inside the kernel's fixed temporary budget
     (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`, ~160 MB of float64
-    cells) — the same bound the serial kernel chunks under.  Boundaries
-    depend only on the bin shapes, never on the worker count, so the
+    cells) — the same bound the serial kernel chunks under.  A cross
+    row is costed at the byte terms it would gather without window
+    dedup, which depends on shapes alone.  Boundaries
+    depend only on the task shapes, never on the worker count, so the
     queue is deterministic; *cost* estimates the tile's gather cells and
     drives the longest-processing-time-first schedule.
     """
     tiles = []
     for index, task in enumerate(tasks):
-        kind, length_a, _length_b, block_a, block_b = task[:5]
-        if kind == "same":
-            rows, length = block_a.shape
+        rows, length = task.block_a.shape
+        if task.kind == "same":
             cells_per_row = max(1, rows * length)
-        elif kind == "eqcross":
-            rows, length = block_a.shape
-            cells_per_row = max(1, block_b.shape[0] * length)
+        elif task.kind == "eqcross":
+            cells_per_row = max(1, task.block_b.shape[0] * length)
         else:
-            rows, m = block_a.shape
-            b, n = block_b.shape
-            cells_per_row = max(1, b * (n - m + 1) * m)
+            windows = sum(b * (n - length + 1) for b, n in (x.shape for x in task.block_b))
+            cells_per_row = max(1, windows * length)
         tile_rows = max(1, CHUNK_CELL_BUDGET // cells_per_row)
         for start in range(0, rows, tile_rows):
             stop = min(rows, start + tile_rows)
-            if kind == "same":
+            if task.kind == "same":
                 # The tile only gathers the upper band (columns start:).
                 cost = (stop - start) * (rows - start) * length
             else:
@@ -436,28 +474,43 @@ def _task_tiles(tasks: list[tuple]) -> list[tuple[int, int, int, int]]:
     return tiles
 
 
-def _tile_pair_count(task: tuple, row_start: int, row_stop: int) -> int:
+def _tile_pair_count(task: _Task, row_start: int, row_stop: int) -> int:
     """Unique segment pairs one tile covers."""
-    kind, _, _, block_a, block_b = task[:5]
-    if kind == "same":
-        count = block_a.shape[0]
-        return sum(count - 1 - i for i in range(row_start, row_stop))
-    return (row_stop - row_start) * block_b.shape[0]
+    rows = row_stop - row_start
+    if task.kind == "same":
+        # Row i pairs with the count - 1 - i rows after it.
+        count = task.block_a.shape[0]
+        return rows * (2 * count - 1 - row_start - row_stop) // 2
+    return rows * len(task.cols)
 
 
-def _task_indices(task: tuple) -> tuple[list[int], list[int]]:
-    """The global (row, column) matrix indices a task scatters to."""
-    return task[7], task[8]
+def _cross_rows(
+    task: _Task, row_start: int, row_stop: int, cells_budget: int | None = None
+) -> tuple[np.ndarray, dict]:
+    """Rows of a binned cross task, plus its window counts for the span.
+
+    Each tile collects and deduplicates its task's windows itself, so
+    tiles share no state; a task rarely spans more than a few tiles.
+    """
+    windows = sliding_windows(task.block_b, task.len_a)
+    tile = cross_length_rows(
+        task.block_a,
+        windows,
+        row_start,
+        row_stop,
+        penalty_factor=task.penalty_factor,
+        cells_budget=cells_budget,
+    )
+    return tile, {"windows": windows.count, "unique_windows": windows.unique_count}
 
 
 def _compute_tile_into(
     values: np.ndarray,
-    by_length: dict[int, list[int]],
-    task: tuple,
+    task: _Task,
     row_start: int,
     row_stop: int,
     cells_budget: int,
-) -> None:
+) -> dict:
     """Compute one tile and write it (plus its mirror) into *values*.
 
     The thread worker's unit of work.  Tiles of one build cover
@@ -466,44 +519,30 @@ def _compute_tile_into(
     its rows and their transposes), so concurrent workers never write
     the same cell — except the symmetric diagonal band *within* one
     tile, which the same thread overwrites with bit-identical values.
-
-    Scatter targets come from the task's own index arrays
-    (:func:`_task_indices`); *by_length* is kept in the signature for
-    wrapper compatibility but no longer consulted.
+    Returns the tile's extra ``matrix.bin`` span attributes.
     """
-    kind, _length_a, _length_b, block_a, block_b, penalty_factor, _kernel = task[:7]
-    task_rows, task_cols = _task_indices(task)
-    if kind == "same":
+    attributes: dict = {}
+    rows = task.rows[row_start:row_stop]
+    cols = task.cols
+    if task.kind == "same":
         tile = pairwise_equal_length_rows(
-            block_a, row_start, row_stop, cells_budget=cells_budget
+            task.block_a, row_start, row_stop, cells_budget=cells_budget
         )
-        rows = task_rows[row_start:row_stop]
-        cols = task_cols[row_start:]
-    elif kind == "eqcross":
+        cols = task.cols[row_start:]
+    elif task.kind == "eqcross":
         tile = equal_length_cross_rows(
-            block_a, block_b, row_start, row_stop, cells_budget=cells_budget
+            task.block_a, task.block_b, row_start, row_stop, cells_budget=cells_budget
         )
-        rows = task_rows[row_start:row_stop]
-        cols = task_cols
     else:
-        tile = cross_length_block_rows(
-            block_a,
-            block_b,
-            row_start,
-            row_stop,
-            penalty_factor=penalty_factor,
-            cells_budget=cells_budget,
-        )
-        rows = task_rows[row_start:row_stop]
-        cols = task_cols
+        tile, attributes = _cross_rows(task, row_start, row_stop, cells_budget)
     values[np.ix_(rows, cols)] = tile
     values[np.ix_(cols, rows)] = tile.T
+    return attributes
 
 
 def _run_tile(
     values: np.ndarray,
-    by_length: dict[int, list[int]],
-    task: tuple,
+    task: _Task,
     tile: tuple[int, int, int, int],
     cells_budget: int,
     enqueued: float,
@@ -519,31 +558,32 @@ def _run_tile(
     _, row_start, row_stop, _ = tile
     started = time.perf_counter()
     started_unix = time.time()
-    _compute_tile_into(values, by_length, task, row_start, row_stop, cells_budget)
+    attributes = _compute_tile_into(values, task, row_start, row_stop, cells_budget)
     return {
         "worker": threading.current_thread().name,
         "queue_seconds": started - enqueued,
         "wall_seconds": time.perf_counter() - started,
         "started_unix": started_unix,
+        "attributes": attributes,
     }
 
 
 def _compute_tiles_threaded(
-    tasks: list[tuple],
+    tasks: list[_Task],
     values: np.ndarray,
-    by_length: dict[int, list[int]],
     options: MatrixBuildOptions,
     stats: BuildStats,
 ) -> bool:
-    """Run the bin tile queue on a thread pool, writing into *values*.
+    """Run the tile queue on a thread pool, writing into *values*.
 
     Tiles are submitted longest-processing-time-first (by estimated
-    gather cells), so the big bins start immediately and the small ones
+    gather cells), so the big tasks start immediately and the small ones
     backfill — the classic LPT bound keeps the makespan within 4/3 of
     optimal.  Workers share the uint8 blocks and the output matrix
     zero-copy; the kernel's temporary budget is divided across workers
-    (:func:`repro.core.membound.divide_bound`) so aggregate peak memory
-    matches the serial path's.
+    (:func:`repro.core.membound.divide_bound`) and each worker's share
+    again by :data:`CHUNKS_PER_WORKER`, so the temporaries of concurrent
+    tiles together stay inside one serial chunk's bound.
 
     A tile that raises fails the whole build with a
     :class:`ComputeError` naming its bin: threads cannot be killed, so
@@ -563,7 +603,7 @@ def _compute_tiles_threaded(
     tiles = _task_tiles(tasks)
     # LPT: largest estimated tile first, index as deterministic tie-break.
     order = sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))
-    cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers)
+    cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers * CHUNKS_PER_WORKER)
     stats.tile_count = len(tiles)
     tracer = get_tracer()
     metrics = get_metrics()
@@ -578,16 +618,10 @@ def _compute_tiles_threaded(
             task = tasks[tile[0]]
             futures[
                 executor.submit(
-                    _run_tile,
-                    values,
-                    by_length,
-                    task,
-                    tile,
-                    cells_budget,
-                    time.perf_counter(),
+                    _run_tile, values, task, tile, cells_budget, time.perf_counter()
                 )
             ] = tile
-            scheduled.inc(kind=task[0])
+            scheduled.inc(kind=task.kind)
         for future in as_completed(futures):
             tile = futures[future]
             task = tasks[tile[0]]
@@ -612,14 +646,15 @@ def _compute_tiles_threaded(
                 "matrix.bin",
                 wall_seconds=record["wall_seconds"],
                 started_unix=record["started_unix"],
-                kind=task[0],
-                len_a=task[1],
-                len_b=task[2],
+                kind=task.kind,
+                len_a=task.len_a,
+                len_b=task.len_b,
                 pairs=_tile_pair_count(task, tile[1], tile[2]),
                 kernel=options.kernel,
                 worker=record["worker"],
                 tile=f"{tile[1]}:{tile[2]}",
                 queue_seconds=round(record["queue_seconds"], 6),
+                **record["attributes"],
             )
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
@@ -627,49 +662,48 @@ def _compute_tiles_threaded(
         tile, error = failure
         task = tasks[tile[0]]
         raise ComputeError(
-            f"matrix bin ({task[1]}, {task[2]}) failed in the threaded build "
+            f"matrix bin ({task.len_a}, {task.len_b}) failed in the threaded build "
             f"(tile rows [{tile[1]}, {tile[2]}), {drained} queued tiles "
             f"drained): {error}"
         ) from error
     return True
 
 
-def _compute_block_task(task: tuple) -> tuple[int, int, np.ndarray]:
-    """Worker entry point: compute one same-/cross-length block.
+def _compute_block_task(task: _Task) -> tuple[np.ndarray, dict]:
+    """Worker entry point: compute one whole task.
 
     Module-level so it pickles for :class:`ProcessPoolExecutor`; also the
     serial path's unit of work, keeping both paths bit-identical.  The
-    task's trailing element selects the kernel: the vectorized binned
-    batch functions, or their per-pair reference oracles.
+    task's kernel selects the vectorized binned batch functions or their
+    per-pair reference oracles; the oracle walks a cross task one longer
+    block at a time.  Returns the block and its extra ``matrix.bin``
+    span attributes.
     """
-    kind, length_a, length_b, block_a, block_b, penalty_factor, kernel = task[:7]
-    if kind == "same":
+    pairwise = task.kernel == KERNEL_PAIRWISE
+    if task.kind == "same":
+        compute = pairwise_equal_length_reference if pairwise else pairwise_equal_length
+        return compute(task.block_a), {}
+    if task.kind == "eqcross":
         compute = (
-            pairwise_equal_length_reference
-            if kernel == KERNEL_PAIRWISE
-            else pairwise_equal_length
+            equal_length_cross_block_reference if pairwise else equal_length_cross_block
         )
-        return length_a, length_b, compute(block_a)
-    if kind == "eqcross":
-        compute = (
-            equal_length_cross_block_reference
-            if kernel == KERNEL_PAIRWISE
-            else equal_length_cross_block
+        return compute(task.block_a, task.block_b), {}
+    if pairwise:
+        return (
+            np.hstack(
+                [
+                    cross_length_block_reference(
+                        task.block_a, long_block, penalty_factor=task.penalty_factor
+                    )
+                    for long_block in task.block_b
+                ]
+            ),
+            {},
         )
-        return length_a, length_b, compute(block_a, block_b)
-    compute = (
-        cross_length_block_reference
-        if kernel == KERNEL_PAIRWISE
-        else cross_length_block
-    )
-    return (
-        length_a,
-        length_b,
-        compute(block_a, block_b, penalty_factor=penalty_factor),
-    )
+    return _cross_rows(task, 0, task.block_a.shape[0])
 
 
-def _recover_serially(task: tuple) -> tuple[int, int, np.ndarray]:
+def _recover_serially(task: _Task) -> tuple[np.ndarray, dict]:
     """Last-resort in-process recomputation of one block.
 
     Runs after the pool-level retry ladder is exhausted; an exception
@@ -680,14 +714,14 @@ def _recover_serially(task: tuple) -> tuple[int, int, np.ndarray]:
         return _compute_block_task(task)
     except Exception as error:
         raise ComputeError(
-            f"block ({task[1]}, {task[2]}) failed even in serial fallback: {error}"
+            f"block ({task.len_a}, {task.len_b}) failed even in serial fallback: {error}"
         ) from error
 
 
 def _scatter_results(
     values: np.ndarray,
-    tasks: list[tuple],
-    results: list[tuple[int, int, np.ndarray]],
+    tasks: list[_Task],
+    results: list[tuple[np.ndarray, dict]],
 ) -> None:
     """Write block results into *values* at their tasks' global indices.
 
@@ -695,16 +729,44 @@ def _scatter_results(
     write covers both triangles); "cross" and "eqcross" rectangles also
     write their transpose into the mirrored cells.
     """
-    for task, (_, _, block_values) in zip(tasks, results):
-        rows, cols = _task_indices(task)
-        values[np.ix_(rows, cols)] = block_values
-        if task[0] != "same":
-            values[np.ix_(cols, rows)] = block_values.T
+    for task, (block_values, _) in zip(tasks, results):
+        values[np.ix_(task.rows, task.cols)] = block_values
+        if task.kind != "same":
+            values[np.ix_(task.cols, task.rows)] = block_values.T
+
+
+def _compute_tasks_serially(
+    values: np.ndarray, tasks: list[_Task], kernel: str
+) -> None:
+    """Compute every task in order, one ``matrix.bin`` span each, into *values*."""
+    tracer = get_tracer()
+    for task in tasks:
+        with tracer.span(
+            "matrix.bin",
+            kind=task.kind,
+            len_a=task.len_a,
+            len_b=task.len_b,
+            pairs=_task_pair_count(task),
+            kernel=kernel,
+        ) as span:
+            result = _compute_block_task(task)
+            span.set(**result[1])
+        _scatter_results(values, [task], [result])
+
+
+def _count_vectorized_pairs(tasks: list[_Task], stats: BuildStats) -> None:
+    """Record the pairs the binned kernel computed (none for the oracle)."""
+    if stats.kernel != KERNEL_BINNED:
+        return
+    stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
+    get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
+        stats.pairs_vectorized
+    )
 
 
 def _compute_tasks_parallel(
-    tasks: list[tuple], options: MatrixBuildOptions, stats: BuildStats
-) -> list[tuple[int, int, np.ndarray]] | None:
+    tasks: list[_Task], options: MatrixBuildOptions, stats: BuildStats
+) -> list[tuple[np.ndarray, dict]] | None:
     """Run *tasks* on a process pool with block-level fault tolerance.
 
     Every block is retried once in the pool after a failure or timeout,
@@ -725,7 +787,7 @@ def _compute_tasks_parallel(
     except (OSError, ValueError, RuntimeError) as error:
         logger.debug("parallel build unavailable (%s); serial", error)
         return None
-    results: dict[int, tuple[int, int, np.ndarray]] = {}
+    results: dict[int, tuple[np.ndarray, dict]] = {}
     attempts: dict[int, int] = {}
     rebuilds = 0
     pending = list(range(len(tasks)))
@@ -967,9 +1029,7 @@ class DissimilarityMatrix:
         ):
             # Threaded bin scheduler: workers write their disjoint
             # tiles straight into ``values`` — nothing to scatter.
-            in_place = _compute_tiles_threaded(
-                tasks, values, by_length, options, stats
-            )
+            in_place = _compute_tiles_threaded(tasks, values, options, stats)
             if in_place:
                 stats.backend = "parallel"
                 stats.parallel_backend = PARALLEL_THREADS
@@ -982,30 +1042,15 @@ class DissimilarityMatrix:
                 stats.backend = "parallel"
                 stats.parallel_backend = PARALLEL_PROCESSES
                 stats.workers = workers
-        if not in_place and results is None:
+        if results is not None:
+            _scatter_results(values, tasks, results)
+        elif not in_place:
             # Restricted environments (no fork, no semaphores) fall
             # back to the serial reference rather than failing.  Each
             # bin gets a child span here (process-pool bins run in
             # worker processes, outside the parent tracer's reach).
-            tracer = get_tracer()
-            results = []
-            for task in tasks:
-                with tracer.span(
-                    "matrix.bin",
-                    kind=task[0],
-                    len_a=task[1],
-                    len_b=task[2],
-                    pairs=_task_pair_count(task),
-                    kernel=options.kernel,
-                ):
-                    results.append(_compute_block_task(task))
-        if options.kernel == KERNEL_BINNED:
-            stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
-            get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
-                stats.pairs_vectorized
-            )
-        if results is not None:
-            _scatter_results(values, tasks, results)
+            _compute_tasks_serially(values, tasks, options.kernel)
+        _count_vectorized_pairs(tasks, stats)
         stats.seconds["compute"] = time.perf_counter() - compute_started
         return values, stats
 
@@ -1108,98 +1153,78 @@ def _append_tasks(
     new_blocks: dict[int, np.ndarray],
     penalty_factor: float,
     kernel: str,
-) -> list[tuple]:
+) -> list[_Task]:
     """Work items covering exactly the cells an append adds.
 
-    For every length pair over the union of old and new lengths, emit
-    only the blocks with at least one *new* segment on a side: the
-    new-vs-new diagonal ("same" triangles per length plus "cross"
-    rectangles between new lengths) and the new-vs-old rectangles
-    ("eqcross" when the lengths are equal, "cross" otherwise).
-    Old-vs-old cells already hold their final values and are never
-    touched, which is what keeps concurrent tile writes disjoint from
-    the live matrix view.  Each cell goes through the same kernel
-    reduction as a batch build over the union, so the appended matrix
-    is bit-identical to a from-scratch build.
+    Per length over the union of old and new lengths, emit only the
+    work with at least one *new* segment on a side: the new "same"
+    triangle, the new-vs-old "eqcross" rectangle, and at most two
+    "cross" tasks — the new length-m block against every longer block
+    of both generations, and the old length-m block against the longer
+    new blocks.  Old-vs-old cells already hold their final values and
+    are never touched, which is what keeps concurrent tile writes
+    disjoint from the live matrix view.  Each cell goes through the
+    same kernel reduction as a batch build over the union, so the
+    appended matrix is bit-identical to a from-scratch build.
     """
     tasks = []
     lengths = sorted(set(old_by_length) | set(new_by_length))
-    for li, length_a in enumerate(lengths):
-        old_a = old_by_length.get(length_a)
-        new_a = new_by_length.get(length_a)
-        if new_a and len(new_a) > 1:
+    for li, length in enumerate(lengths):
+        old = old_by_length.get(length)
+        new = new_by_length.get(length)
+        if new and len(new) > 1:
             tasks.append(
-                (
+                _Task(
                     "same",
-                    length_a,
-                    length_a,
-                    new_blocks[length_a],
+                    length,
+                    length,
+                    new_blocks[length],
                     None,
                     penalty_factor,
                     kernel,
-                    new_a,
-                    new_a,
+                    new,
+                    new,
                 )
             )
-        if new_a and old_a:
+        if new and old:
             tasks.append(
-                (
+                _Task(
                     "eqcross",
-                    length_a,
-                    length_a,
-                    new_blocks[length_a],
-                    old_blocks[length_a],
+                    length,
+                    length,
+                    new_blocks[length],
+                    old_blocks[length],
                     penalty_factor,
                     kernel,
-                    new_a,
-                    old_a,
+                    new,
+                    old,
                 )
             )
-        for length_b in lengths[li + 1 :]:
-            old_b = old_by_length.get(length_b)
-            new_b = new_by_length.get(length_b)
-            if old_a and new_b:
-                tasks.append(
-                    (
-                        "cross",
-                        length_a,
-                        length_b,
-                        old_blocks[length_a],
-                        new_blocks[length_b],
-                        penalty_factor,
-                        kernel,
-                        old_a,
-                        new_b,
-                    )
+        longer_new = [
+            (new_blocks[n], new_by_length[n])
+            for n in lengths[li + 1 :]
+            if n in new_by_length
+        ]
+        longer_old = [
+            (old_blocks[n], old_by_length[n])
+            for n in lengths[li + 1 :]
+            if n in old_by_length
+        ]
+        if new and (longer_old or longer_new):
+            tasks.append(
+                _cross_task(
+                    (new_blocks[length], new),
+                    longer_old + longer_new,
+                    penalty_factor,
+                    kernel,
                 )
-            if new_a and old_b:
-                tasks.append(
-                    (
-                        "cross",
-                        length_a,
-                        length_b,
-                        new_blocks[length_a],
-                        old_blocks[length_b],
-                        penalty_factor,
-                        kernel,
-                        new_a,
-                        old_b,
-                    )
+            )
+        if old and longer_new:
+            tasks.append(
+                _cross_task(
+                    (old_blocks[length], old), longer_new, penalty_factor, kernel
                 )
-            if new_a and new_b:
-                tasks.append(
-                    (
-                        "cross",
-                        length_a,
-                        length_b,
-                        new_blocks[length_a],
-                        new_blocks[length_b],
-                        penalty_factor,
-                        kernel,
-                        new_a,
-                        new_b,
-                    )
-                )
+            )
     return tasks
 
 
@@ -1337,29 +1362,13 @@ class AppendableMatrix:
                 and count >= options.parallel_threshold
                 and options.resolved_parallel_backend() == PARALLEL_THREADS
             ):
-                in_place = _compute_tiles_threaded(tasks, values, {}, options, stats)
+                in_place = _compute_tiles_threaded(tasks, values, options, stats)
                 if in_place:
                     stats.parallel_backend = PARALLEL_THREADS
                     stats.workers = workers
             if not in_place:
-                tracer = get_tracer()
-                results = []
-                for task in tasks:
-                    with tracer.span(
-                        "matrix.bin",
-                        kind=task[0],
-                        len_a=task[1],
-                        len_b=task[2],
-                        pairs=_task_pair_count(task),
-                        kernel=options.kernel,
-                    ):
-                        results.append(_compute_block_task(task))
-                _scatter_results(values, tasks, results)
-            if options.kernel == KERNEL_BINNED:
-                stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
-                get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
-                    stats.pairs_vectorized
-                )
+                _compute_tasks_serially(values, tasks, options.kernel)
+            _count_vectorized_pairs(tasks, stats)
             stats.seconds["compute"] = time.perf_counter() - compute_started
 
             merged_knn = self._merged_knn_columns(values, old_count, count)

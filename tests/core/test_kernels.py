@@ -31,7 +31,7 @@ PARITY_ATOL = 1e-12
 def as_unique_segments(datas):
     return unique_segments(
         [Segment(message_index=i, offset=0, data=d) for i, d in enumerate(datas)],
-        min_length=1,
+        min_length=0,
     )
 
 
@@ -119,11 +119,27 @@ class TestCrossLengthKernelParity:
         fast = cross_length_block(short, long)
         assert np.abs(fast - cross_length_block_reference(short, long)).max() <= PARITY_ATOL
 
+    @pytest.mark.parametrize("m", [1, 8, 9])
+    def test_deduplicated_and_sliding_windows_agree(self, m):
+        # m <= 8 scores deduplicated windows, m = 9 slides; both must
+        # equal the oracle on blocks with many repeated windows.
+        rng = np.random.default_rng(m)
+        short = rng.integers(0, 4, size=(9, m), dtype=np.uint8)
+        long = rng.integers(0, 4, size=(7, m + 5), dtype=np.uint8)
+        fast = cross_length_block(short, long)
+        assert np.abs(fast - cross_length_block_reference(short, long)).max() <= PARITY_ATOL
 
-# Ragged segment sets: lengths 1–64, deliberately including repeated
+    def test_empty_short_block(self):
+        short = np.zeros((1, 0), dtype=np.uint8)
+        long = uint8_block(np.random.default_rng(8), 3, 2)
+        assert np.array_equal(cross_length_block(short, long), np.ones((1, 3)))
+        assert np.array_equal(cross_length_block_reference(short, long), np.ones((1, 3)))
+
+
+# Ragged segment sets: lengths 0–64, deliberately including repeated
 # values (collapsed by unique_segments) and repeated lengths.
 ragged_segment_sets = st.lists(
-    st.binary(min_size=1, max_size=64), min_size=2, max_size=14, unique=True
+    st.binary(min_size=0, max_size=64), min_size=2, max_size=14, unique=True
 )
 
 
@@ -155,6 +171,15 @@ class TestKernelPropertyParity:
         binned = build(datas, "binned")
         pairwise = build(datas, "pairwise")
         assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+
+    def test_empty_segment_against_nonempty(self):
+        # The empty segment overlaps nothing: d = 1 against any other,
+        # as canberra_dissimilarity and the pairwise oracle define it.
+        for kernel in KERNELS:
+            values = build([b"", b"ab", b"\x01"], kernel).values
+            assert not np.isnan(values).any()
+            assert np.array_equal(values[0], [0.0, 1.0, 1.0])
+            assert np.array_equal(values[:, 0], [0.0, 1.0, 1.0])
 
     def test_duplicate_values_collapse_identically(self):
         # Duplicate occurrences collapse to one unique segment; both

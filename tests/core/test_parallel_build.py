@@ -12,6 +12,9 @@ here pin that contract:
 - a determinism run (same trace, three worker counts, raw-byte compare);
 - tiny-tile runs (budget monkeypatched down) so one bin spans many
   tiles and the cross-tile mirror writes are exercised;
+- the grouped cross-length kernel (one task per short length, windows
+  deduplicated up to 8 bytes): serial, threaded and 3-chunk appended
+  builds and the pairwise oracle agree byte for byte;
 - the workers convention shared by the library and both CLIs
   (``None`` ⇒ all cores, ``0`` ⇒ serial, ``N >= 1`` ⇒ exactly N,
   negative ⇒ rejected);
@@ -42,6 +45,7 @@ from repro.core.matrix import (
     PARALLEL_THREADS,
     STORAGE_MEMMAP,
     STORAGE_RAM,
+    AppendableMatrix,
     DissimilarityMatrix,
     MatrixBuildOptions,
 )
@@ -184,6 +188,62 @@ class TestThreadedParity:
         if built.stats.backend == "parallel":  # pool may be unavailable
             assert built.stats.parallel_backend == PARALLEL_PROCESSES
         assert built.values.tobytes() == reference.values.tobytes()
+
+
+class TestGroupedCrossKernel:
+    """One cross task per short length: every build path, the same bytes."""
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_serial_threaded_and_appended_builds_are_bit_identical(
+        self, monkeypatch, seed
+    ):
+        # A 4-symbol alphabet makes windows repeat, so deduplication
+        # collapses many of them; lengths 1-12 put short lengths on
+        # both sides of the 8/9-byte key boundary; a tiny budget splits
+        # one short length into many tiles and chunks.
+        monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 256)
+        monkeypatch.setattr("repro.core.canberra._CHUNK_CELL_BUDGET", 256)
+        rng = np.random.default_rng(seed)
+        datas = list(
+            dict.fromkeys(
+                bytes(rng.integers(0, 4, size=int(rng.integers(1, 13)), dtype=np.uint8))
+                for _ in range(160)
+            )
+        )
+        reference = serial_build(datas).values.tobytes()
+        # The per-pair oracle slides each pair on its own; on these
+        # inputs it agrees to the bit.
+        assert serial_build(datas, kernel=KERNEL_PAIRWISE).values.tobytes() == reference
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for workers in (2, 4):
+                built = threaded_build(datas, workers)
+                assert built.stats.tile_count > built.stats.task_count
+                assert built.values.tobytes() == reference
+        cross = [s for s in tracer.find("matrix.bin") if s.attributes["kind"] == "cross"]
+        assert {s.attributes["len_a"] for s in cross} >= {1, 8, 9}
+        assert any(
+            s.attributes["unique_windows"] < s.attributes["windows"] for s in cross
+        )
+        assert all(
+            s.attributes["unique_windows"] == s.attributes["windows"]
+            for s in cross
+            if s.attributes["len_a"] > 8
+        )
+
+        segments = as_unique_segments(datas)
+        grown = AppendableMatrix(
+            segments[:60],
+            options=MatrixBuildOptions(
+                workers=2,
+                use_cache=False,
+                parallel_threshold=0,
+                parallel_backend=PARALLEL_THREADS,
+            ),
+        )
+        grown.append(segments[60:110])
+        grown.append(segments[110:])
+        assert np.asarray(grown.matrix.values).tobytes() == reference
 
 
 class TestWorkersConvention:

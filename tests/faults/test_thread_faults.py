@@ -59,11 +59,11 @@ def _fail_first_tile(monkeypatch):
     """Patch the tile worker to raise on its first invocation only."""
     calls = {"count": 0}
 
-    def flaky(values, by_length, task, row_start, row_stop, cells_budget):
+    def flaky(values, task, row_start, row_stop, cells_budget):
         calls["count"] += 1
         if calls["count"] == 1:
             raise RuntimeError("injected tile fault")
-        return _REAL_TILE(values, by_length, task, row_start, row_stop, cells_budget)
+        return _REAL_TILE(values, task, row_start, row_stop, cells_budget)
 
     monkeypatch.setattr(matrix_mod, "_compute_tile_into", flaky)
     return calls
