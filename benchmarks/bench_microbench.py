@@ -2,10 +2,10 @@
 
 Unlike the experiment benchmarks (single deterministic runs), these are
 true repeated-timing benchmarks of the hot paths: Canberra dissimilarity
-matrix construction (binned kernel vs the per-pair reference oracle,
-serial vs parallel — the grid is persisted to ``BENCH_matrix.json`` as
-the perf trajectory baseline), k-NN extraction, DBSCAN, and the NEMESYS
-segmenter.
+matrix construction (the binned kernel serial and threaded, against the
+per-pair reference oracle of ``tests/core/oracles.py`` — the grid is
+persisted to ``BENCH_matrix.json`` as the perf trajectory baseline),
+k-NN extraction, DBSCAN, and the NEMESYS segmenter.
 """
 
 import json
@@ -20,11 +20,12 @@ import pytest
 from conftest import attach_matrix_stats
 from repro.core.autoconf import configure
 from repro.core.dbscan import dbscan
-from repro.core.matrix import KERNELS, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import cache_counters
 from repro.core.segments import Segment, unique_segments
 from repro.protocols import get_model
 from repro.segmenters import CspSegmenter, NemesysSegmenter
+from tests.core.oracles import reference_matrix
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
 
@@ -110,15 +111,17 @@ MIN_PARALLEL_SPEEDUP_2CORE = 1.2
 
 
 def test_matrix_kernel_grid(benchmark):
-    """pairwise vs binned × serial vs parallel at n ∈ {200, 1000}.
+    """binned serial vs binned threaded vs the per-pair oracle, n ∈ {200, 1000}.
 
-    The whole grid must agree within 1e-12 (the kernels are numerically
-    interchangeable), the binned kernel must beat the per-pair oracle by
-    ≥5× single-core, and the measured grid is written to
-    ``BENCH_matrix.json`` so future PRs have a perf trajectory.
+    The whole grid must agree within 1e-12 (the oracle is numerically
+    interchangeable with the kernel), the binned kernel must beat the
+    per-pair oracle by ≥5× single-core, and the measured grid is
+    written to ``BENCH_matrix.json`` so future PRs have a perf
+    trajectory.  The oracle runs serially, straight from the test
+    helper.
 
-    Honesty contract of the baseline: parallel rows request
-    ``workers=4`` explicitly and record the backend that *actually*
+    Honesty contract of the baseline: the parallel row requests
+    ``workers=4`` explicitly and records the backend that *actually*
     ran, ``cpus`` records both ``os.cpu_count()`` and the scheduler
     affinity, and a parallel row silently degrading to serial fails the
     bench outright — a baseline that says "parallel" must have run
@@ -133,65 +136,67 @@ def test_matrix_kernel_grid(benchmark):
         segments = synthetic_unique_segments(n, seed=3)
         seconds = {}
         reference = None
-        for kernel in KERNELS:
-            for backend, options in (
-                (
-                    "serial",
-                    MatrixBuildOptions(workers=1, use_cache=False, kernel=kernel),
+        for backend, options in (
+            ("serial", SERIAL),
+            (
+                "parallel",
+                MatrixBuildOptions(
+                    workers=GRID_WORKERS, use_cache=False, parallel_threshold=0
                 ),
-                (
-                    "parallel",
-                    MatrixBuildOptions(
-                        workers=GRID_WORKERS,
-                        use_cache=False,
-                        parallel_threshold=0,
-                        kernel=kernel,
-                    ),
-                ),
-            ):
-                started = time.perf_counter()
-                matrix = DissimilarityMatrix.build(segments, options=options)
-                elapsed = time.perf_counter() - started
-                seconds[(kernel, backend)] = elapsed
-                if reference is None:
-                    reference = matrix.values
-                else:
-                    drift = float(np.abs(reference - matrix.values).max())
-                    assert drift <= 1e-12, (
-                        f"kernel grid drift {drift} at n={n} {kernel}/{backend}"
-                    )
-                if backend == "parallel":
-                    # The baseline must not lie: a row labelled
-                    # "parallel" that ran serially (pool unavailable,
-                    # gate regression) fails the bench instead of
-                    # being committed as a fake speedup.
-                    assert matrix.stats.backend == "parallel", (
-                        f"requested parallel build degraded to "
-                        f"{matrix.stats.backend!r} at n={n} kernel={kernel} "
-                        f"(workers={GRID_WORKERS}, {cpus} usable cores)"
-                    )
-                cases.append(
-                    {
-                        "n": n,
-                        "kernel": kernel,
-                        "requested_backend": backend,
-                        "backend": matrix.stats.backend,
-                        "parallel_backend": matrix.stats.parallel_backend,
-                        "workers": matrix.stats.workers,
-                        "tiles": matrix.stats.tile_count,
-                        "pairs_vectorized": matrix.stats.pairs_vectorized,
-                        "seconds": round(elapsed, 4),
-                    }
+            ),
+        ):
+            started = time.perf_counter()
+            matrix = DissimilarityMatrix.build(segments, options=options)
+            elapsed = time.perf_counter() - started
+            seconds[backend] = elapsed
+            if reference is None:
+                reference = matrix.values
+            else:
+                drift = float(np.abs(reference - matrix.values).max())
+                assert drift <= 1e-12, f"kernel grid drift {drift} at n={n} {backend}"
+            if backend == "parallel":
+                # The baseline must not lie: a row labelled "parallel"
+                # that ran serially (executor unavailable, gate
+                # regression) fails the bench instead of being
+                # committed as a fake speedup.
+                assert matrix.stats.backend == "parallel", (
+                    f"requested parallel build degraded to "
+                    f"{matrix.stats.backend!r} at n={n} "
+                    f"(workers={GRID_WORKERS}, {cpus} usable cores)"
                 )
-        single_core = seconds[("pairwise", "serial")] / seconds[("binned", "serial")]
-        parallel_scaling = (
-            seconds[("binned", "serial")] / seconds[("binned", "parallel")]
+            cases.append(
+                {
+                    "n": n,
+                    "kernel": "binned",
+                    "requested_backend": backend,
+                    "backend": matrix.stats.backend,
+                    "workers": matrix.stats.workers,
+                    "tiles": matrix.stats.tile_count,
+                    "pairs_vectorized": matrix.stats.pairs_vectorized,
+                    "seconds": round(elapsed, 4),
+                }
+            )
+        started = time.perf_counter()
+        oracle = reference_matrix(segments)
+        seconds["oracle"] = time.perf_counter() - started
+        drift = float(np.abs(reference - oracle).max())
+        assert drift <= 1e-12, f"kernel grid drift {drift} at n={n} oracle"
+        cases.append(
+            {
+                "n": n,
+                "kernel": "pairwise",
+                "requested_backend": "serial",
+                "backend": "serial",
+                "workers": 1,
+                "tiles": 0,
+                "pairs_vectorized": 0,
+                "seconds": round(seconds["oracle"], 4),
+            }
         )
+        single_core = seconds["oracle"] / seconds["serial"]
+        parallel_scaling = seconds["serial"] / seconds["parallel"]
         speedups[str(n)] = {
             "binned_vs_pairwise_serial": round(single_core, 1),
-            "binned_vs_pairwise_parallel": round(
-                seconds[("pairwise", "parallel")] / seconds[("binned", "parallel")], 1
-            ),
             "binned_parallel_vs_serial": round(parallel_scaling, 2),
         }
         assert single_core >= MIN_SINGLE_CORE_SPEEDUP, (
@@ -213,7 +218,7 @@ def test_matrix_kernel_grid(benchmark):
         benchmark.extra_info[f"speedup_serial_n{n}"] = round(single_core, 1)
         benchmark.extra_info[f"scaling_parallel_n{n}"] = round(parallel_scaling, 2)
     payload = {
-        "schema": "repro.bench-matrix/v2",
+        "schema": "repro.bench-matrix/v3",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
@@ -267,7 +272,6 @@ def test_matrix_build_parallel(benchmark):
     benchmark.extra_info["parallel_seconds"] = round(parallel_seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["backend"] = parallel.stats.backend
-    benchmark.extra_info["parallel_backend"] = parallel.stats.parallel_backend
     attach_matrix_stats(benchmark, parallel)
     cpus = available_cpus()
     if cpus >= 4:

@@ -8,8 +8,6 @@ along:
 - the single-pass k-NN extraction (``knn_distances_all``, one
   ``np.partition`` sweep) must beat the legacy per-k full-sort path by
   ≥5x at n=5000 — the tentpole speedup of the memory-bounded pipeline;
-- the CSR and dense DBSCAN neighborhood backends must produce
-  bit-identical labels wherever both run;
 - at the largest size the post-matrix stages' peak RSS growth must stay
   within the configured working-set bound plus the data-dependent
   outputs (k-NN columns, CSR adjacency, labels).
@@ -56,8 +54,6 @@ DEFAULT_SIZES = (1000, 5000, 20000)
 MIN_AUTOCONF_SPEEDUP = 5.0
 #: Largest size at which the O(k n^2 log n) legacy path is still affordable.
 MAX_LEGACY_SIZE = 5000
-#: Largest size at which the dense n^2-boolean DBSCAN reference runs.
-MAX_DENSE_SIZE = 5000
 #: --check fails when a stage is slower than baseline by more than this.
 CHECK_REGRESSION_FACTOR = 2.0
 
@@ -157,7 +153,7 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
     record["epsilon"] = round(float(auto.epsilon), 6)
     record["min_samples"] = int(auto.min_samples)
 
-    # --- dbscan: CSR (memory-bounded) vs dense reference ---------------
+    # --- dbscan: CSR (memory-bounded) neighborhoods ---------------------
     gc.collect()
     before = rss_bytes()
     with RssSampler() as sampler:
@@ -166,7 +162,6 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
             matrix.values,
             auto.epsilon,
             auto.min_samples,
-            neighborhoods="csr",
             memory_bound_bytes=memory_bound_bytes,
         )
     record["seconds"]["dbscan_csr"] = round(csr_seconds, 4)
@@ -181,19 +176,6 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
         * max(1, count // 64)
     )
     record["epsilon_edges_estimate"] = edges
-    if count <= MAX_DENSE_SIZE:
-        dense, dense_seconds = timed(
-            dbscan,
-            matrix.values,
-            auto.epsilon,
-            auto.min_samples,
-            neighborhoods="dense",
-        )
-        record["seconds"]["dbscan_dense"] = round(dense_seconds, 4)
-        assert np.array_equal(csr.labels, dense.labels), (
-            f"CSR/dense label divergence at n={count}"
-        )
-        record["labels_identical"] = True
 
     # --- refinement -----------------------------------------------------
     refined, refine_seconds = timed(

@@ -28,14 +28,11 @@ everywhere a ``segmenter=`` parameter or ``--segmenter`` flag is
 accepted; :func:`~repro.segmenters.available_segmenters` lists the
 names.
 
-Execution knobs (worker count, parallel backend, kernel, dtype,
-storage, cache) ride along on
+Execution knobs (worker count, dtype, storage, cache) ride along on
 :attr:`~repro.core.pipeline.ClusteringConfig.matrix_options` — the same
 :class:`~repro.core.matrix.MatrixBuildOptions` the CLIs fill from
-``--workers`` (``0`` = serial, unset = all cores) and
-``--parallel-backend`` (``threads`` shares blocks and the output matrix
-zero-copy across a thread pool; ``processes`` keeps the self-healing
-per-block pool; ``auto`` picks by kernel).
+``--workers`` (``0`` = serial, unset = all cores; parallel builds share
+blocks and the output matrix zero-copy across a thread pool).
 
 Example::
 
@@ -44,9 +41,7 @@ Example::
     from repro.obs import Tracer
 
     tracer = Tracer()
-    config = ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=8, parallel_backend="auto")
-    )
+    config = ClusteringConfig(matrix_options=MatrixBuildOptions(workers=8))
     report = analyze("capture.pcap", config, protocol="mystery",
                      port=9999, tracer=tracer)
     print(report.render())
@@ -107,6 +102,61 @@ class AnalysisRun:
     #: Protocol state machine inferred over the message-type labels,
     #: present when the run was asked for ``statemachine=True``.
     statemachine: StateMachineResult | None = None
+
+
+def complete_run(
+    result: ClusteringResult,
+    segments: list[Segment],
+    trace: Trace,
+    raw_trace: Trace,
+    config: ClusteringConfig,
+    *,
+    semantics: bool = False,
+    msgtypes: bool = False,
+    statemachine: bool = False,
+    known_distances=None,
+) -> AnalysisRun:
+    """The stages after field-type clustering, in their one fixed order.
+
+    semantics → message types → state machine → report, over the
+    labelled (preprocessed) *trace*; session tracking groups the
+    *raw_trace*, whose repeated payloads keep their timestamps.
+    ``statemachine=True`` implies the message-type stage, and
+    *known_distances* (an earlier run's message distances over a prefix
+    of these messages) lets it align only the pairs with later messages.
+    """
+    msgtypes = msgtypes or statemachine
+    deduced = deduce_semantics(result, trace) if semantics else None
+    types = (
+        cluster_message_types(
+            segments,
+            len(trace),
+            matrix=result.matrix,
+            trace=trace,
+            known_distances=known_distances,
+        )
+        if msgtypes
+        else None
+    )
+    machine = (
+        infer_session_machine(raw_trace, types, labeled_trace=trace)
+        if statemachine
+        else None
+    )
+    report = AnalysisReport.build(
+        result, trace, deduced, msgtypes=types, statemachine=machine
+    )
+    return AnalysisRun(
+        trace=trace,
+        segments=segments,
+        result=result,
+        report=report,
+        semantics=deduced,
+        config=config,
+        quarantine=trace.quarantine,
+        msgtypes=types,
+        statemachine=machine,
+    )
 
 
 def _observability_scopes(tracer: Tracer | None, metrics: MetricsRegistry | None):
@@ -181,14 +231,12 @@ def run_analysis(
     :class:`~repro.errors.IngestError`.
     """
     config = config or ClusteringConfig()
-    msgtypes = msgtypes or statemachine
     tracer_scope, metrics_scope = _observability_scopes(tracer, metrics)
     with tracer_scope, metrics_scope:
         if isinstance(trace_or_path, (str, Path)):
             trace = load_trace(trace_or_path, protocol=protocol, port=port, strict=strict)
         else:
             trace = trace_or_path
-        quarantine = trace.quarantine
         # Session tracking needs every occurrence with its timestamp,
         # so keep the raw view before de-duplication strips repeats.
         raw_trace = trace
@@ -197,38 +245,21 @@ def run_analysis(
             # preprocess() returns a fresh Trace that does not carry the
             # capture's quarantine report; re-attach it so the run's
             # trace keeps describing the lenient load it came from.
-            trace.quarantine = quarantine
+            trace.quarantine = raw_trace.quarantine
         if not len(trace):
             raise ValueError("no messages to analyze after preprocessing")
         segments = _resolve_segmenter(segmenter, config).segment(trace)
         result = FieldTypeClusterer(config).cluster(segments)
-        deduced = deduce_semantics(result, trace) if semantics else None
-        types = (
-            cluster_message_types(
-                segments, len(trace), matrix=result.matrix, trace=trace
-            )
-            if msgtypes
-            else None
+        return complete_run(
+            result,
+            segments,
+            trace,
+            raw_trace,
+            config,
+            semantics=semantics,
+            msgtypes=msgtypes,
+            statemachine=statemachine,
         )
-        machine = (
-            infer_session_machine(raw_trace, types, labeled_trace=trace)
-            if statemachine and types is not None
-            else None
-        )
-        report = AnalysisReport.build(
-            result, trace, deduced, msgtypes=types, statemachine=machine
-        )
-    return AnalysisRun(
-        trace=trace,
-        segments=segments,
-        result=result,
-        report=report,
-        semantics=deduced,
-        config=config,
-        quarantine=quarantine,
-        msgtypes=types,
-        statemachine=machine,
-    )
 
 
 def analyze(

@@ -2,16 +2,16 @@
 
 Both CLIs take the same matrix-backend and observability flags; this
 module owns them once, as an :mod:`argparse` *parent parser*
-(:func:`backend_parent`), plus the helpers that turn parsed flags into
-options and emit the observability artefacts after a run:
+(:func:`backend_parent`), plus the helper that emits the observability
+artefacts after a run.  The one translation from these flags to a
+config is :meth:`repro.core.pipeline.ClusteringConfig.from_args`.
 
-- ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--kernel`` /
-  ``--parallel-backend`` — the matrix execution backend (worker count:
-  ``0`` = serial, ``N`` = exactly N, unset = all cores), per-bin
-  compute kernel, and parallel backend (threads / processes / auto);
-  see :class:`repro.core.matrix.MatrixBuildOptions`;
-- ``--block-timeout`` / ``--max-retries`` — the self-healing knobs of
-  the parallel backend (per-block timeout, pool rebuild budget);
+- ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--matrix-dtype``
+  / ``--matrix-memmap`` — the matrix execution backend (worker count:
+  ``0`` = serial, ``N`` = exactly N threads, unset = all cores); see
+  :class:`repro.core.matrix.MatrixBuildOptions`;
+- ``--memory-bound-mb`` — the working-set budget of the post-matrix
+  blockwise scans;
 - ``--lenient`` — quarantine malformed capture records instead of
   aborting the load (see :mod:`repro.errors`);
 - ``--timings`` — per-stage wall-clock summary to stderr, a thin view
@@ -27,18 +27,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.dbscan import NEIGHBORHOOD_MODES, NEIGHBORHOODS_CSR
-from repro.core.matrix import (
-    DTYPE_FLOAT64,
-    DTYPES,
-    KERNEL_BINNED,
-    KERNELS,
-    PARALLEL_AUTO,
-    PARALLEL_BACKENDS,
-    STORAGE_MEMMAP,
-    STORAGE_RAM,
-    MatrixBuildOptions,
-)
+from repro.core.matrix import DTYPE_FLOAT64, DTYPES
 from repro.core.matrixcache import cache_counters
 from repro.errors import ingest_counters
 from repro.obs.export import write_manifest, write_prometheus
@@ -145,17 +134,8 @@ def backend_parent() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="dissimilarity-matrix workers: 0 forces the serial path, "
-        "N>=1 uses exactly N workers (default: all CPU cores)",
-    )
-    backend.add_argument(
-        "--parallel-backend",
-        choices=PARALLEL_BACKENDS,
-        default=PARALLEL_AUTO,
-        help="matrix parallel backend: 'auto' (default; threads for the "
-        "binned kernel, processes for the pairwise oracle), 'threads' "
-        "(bin tile scheduler, shared-memory output), or 'processes' "
-        "(self-healing per-block pool)",
+        help="dissimilarity-matrix worker threads: 0 forces the serial "
+        "path, N>=1 uses exactly N workers (default: all CPU cores)",
     )
     backend.add_argument(
         "--no-cache",
@@ -166,13 +146,6 @@ def backend_parent() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="matrix cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    backend.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=KERNEL_BINNED,
-        help="per-bin compute kernel: 'binned' (vectorized, default) or "
-        "'pairwise' (per-pair reference oracle, slow)",
     )
     backend.add_argument(
         "--matrix-dtype",
@@ -188,36 +161,12 @@ def backend_parent() -> argparse.ArgumentParser:
         "instead of RAM (for traces whose matrix exceeds memory)",
     )
     backend.add_argument(
-        "--neighborhoods",
-        choices=NEIGHBORHOOD_MODES,
-        default=NEIGHBORHOODS_CSR,
-        help="DBSCAN epsilon-neighborhood backend: 'csr' (blockwise, "
-        "memory-bounded, default) or 'dense' (n×n boolean reference); "
-        "labels are identical",
-    )
-    backend.add_argument(
         "--memory-bound-mb",
         type=int,
         default=None,
         metavar="MB",
         help="working-set budget for the post-matrix blockwise scans "
         "(k-NN extraction, CSR neighborhoods, refinement; default: 256)",
-    )
-    backend.add_argument(
-        "--block-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-block timeout for parallel matrix builds; a hung worker "
-        "is abandoned and its block recomputed (default: wait forever)",
-    )
-    backend.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="how often a crashed/hung worker pool is rebuilt before the "
-        "remaining blocks run serially (default: 2)",
     )
     ingest = parent.add_argument_group("fault tolerance")
     ingest.add_argument(
@@ -247,23 +196,6 @@ def backend_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def matrix_options_from_args(args) -> MatrixBuildOptions:
-    """Translate the shared matrix-backend flags into build options."""
-    return MatrixBuildOptions(
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        block_timeout=args.block_timeout,
-        max_retries=max(0, args.max_retries),
-        kernel=getattr(args, "kernel", KERNEL_BINNED),
-        parallel_backend=getattr(args, "parallel_backend", PARALLEL_AUTO),
-        dtype=getattr(args, "matrix_dtype", DTYPE_FLOAT64),
-        storage=(
-            STORAGE_MEMMAP if getattr(args, "matrix_memmap", False) else STORAGE_RAM
-        ),
-    )
-
-
 def print_timings(tracer: Tracer, metrics: MetricsRegistry) -> None:
     """``--timings`` view: stage wall clock + cache counters, to stderr.
 
@@ -278,15 +210,12 @@ def print_timings(tracer: Tracer, metrics: MetricsRegistry) -> None:
         print(f"timings: {stages}", file=sys.stderr)
     for span in tracer.find("matrix.build"):
         attributes = span.attributes
-        line = (
+        print(
             f"matrix: backend={attributes.get('backend')} "
-            f"kernel={attributes.get('kernel')} "
             f"workers={attributes.get('workers')} "
-            f"cache_hit={attributes.get('cache_hit')}"
+            f"cache_hit={attributes.get('cache_hit')}",
+            file=sys.stderr,
         )
-        if attributes.get("parallel_backend") is not None:
-            line += f" parallel_backend={attributes['parallel_backend']}"
-        print(line, file=sys.stderr)
     with use_metrics(metrics):
         counters = cache_counters()
         ingest = ingest_counters()

@@ -61,13 +61,16 @@ def configure(
     smoothness: float | None = None,
     trim_at: float | None = None,
     grid_points: int = 200,
+    memory_bound_bytes: int | None = None,
 ) -> AutoConfig:
     """Run Algorithm 1 on the dissimilarity matrix.
 
     *trim_at* restricts every k-NN ECDF to dissimilarities strictly
     below the given value (the fallback re-run).  When no knee can be
     detected (degenerate distributions), epsilon falls back to the
-    median k-NN dissimilarity, flagged via ``fallback_used``.
+    median k-NN dissimilarity, flagged via ``fallback_used``.  The k-NN
+    extraction scans the matrix in row blocks under
+    *memory_bound_bytes*.
     """
     count = len(matrix)
     samples = min_samples_for(count)
@@ -94,7 +97,7 @@ def configure(
     # with a trim_at reuse the columns instead of re-scanning O(n²)
     # values per k).  Column k-1 is bit-identical to the per-k
     # full-sort reference ``matrix.knn_distances(k)``.
-    knn_columns = matrix.knn_distances_all(k_hi)
+    knn_columns = matrix.knn_distances_all(k_hi, memory_bound_bytes)
     best: tuple[float, int, Ecdf, np.ndarray, np.ndarray] | None = None
     for k in range(2, k_hi + 1):
         ecdf = Ecdf.from_samples(knn_columns[:, k - 1])

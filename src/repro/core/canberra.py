@@ -19,25 +19,20 @@ Two layers:
   (see DESIGN.md for the rationale where the paper under-specifies).
 
 On top of the per-pair functions sit the **batch kernels** the matrix
-builder uses, in two interchangeable flavors:
-
-- *binned* (:func:`pairwise_equal_length`, :func:`cross_length_rows`)
-  — whole blocks at once.  Because byte values live in ``[0, 255]``,
-  every Canberra term is one of 256×256 possible values; uint8 blocks
-  are resolved through a precomputed 512 KB lookup table
-  (:func:`byte_term_lut`), replacing the abs/add/divide/where chain by
-  a single gather.  Equal-length bins compute only the upper triangle
-  and mirror it (the terms are exactly symmetric).  The cross-length
-  kernel compares a short block with a whole group of longer blocks:
-  their m-byte windows are collected once (:func:`sliding_windows`),
-  deduplicated when m ≤ :data:`WINDOW_KEY_BYTES`, scored, and reduced
-  to each longer segment's sliding minimum.  Work is tiled to a fixed
-  temporary budget so peak memory stays bounded.
-- *pairwise* (:func:`pairwise_equal_length_reference`,
-  :func:`cross_length_block_reference`) — one Python-level
-  :func:`canberra_distance` / :func:`canberra_dissimilarity` call per
-  pair.  Slow by construction, kept as the reference oracle the parity
-  and golden-trace tests pin the binned kernel against.
+builder uses (:func:`pairwise_equal_length`, :func:`cross_length_rows`
+and their row-tile entry points), which compute whole blocks at once.
+Because byte values live in ``[0, 255]``, every Canberra term is one of
+256×256 possible values; uint8 blocks are resolved through a
+precomputed 512 KB lookup table (:func:`byte_term_lut`), replacing the
+abs/add/divide/where chain by a single gather.  Equal-length bins
+compute only the upper triangle and mirror it (the terms are exactly
+symmetric).  The cross-length kernel compares a short block with a
+whole group of longer blocks: their m-byte windows are collected once
+(:func:`sliding_windows`), deduplicated when m ≤
+:data:`WINDOW_KEY_BYTES`, scored, and reduced to each longer segment's
+sliding minimum.  Work is tiled to a fixed temporary budget so peak
+memory stays bounded.  The tests pin these kernels against per-pair
+oracles built on the two functions above.
 """
 
 from __future__ import annotations
@@ -523,68 +518,3 @@ def equal_length_cross_block(
     """
     block_a = np.asarray(block_a)
     return equal_length_cross_rows(block_a, block_b, 0, block_a.shape[0])
-
-
-def equal_length_cross_block_reference(
-    block_a: np.ndarray, block_b: np.ndarray
-) -> np.ndarray:
-    """Per-pair oracle for :func:`equal_length_cross_block`.
-
-    One :func:`canberra_distance` call per (a, b) pair; pins the
-    vectorized rectangular kernel exactly as the other references pin
-    their batch counterparts.
-    """
-    block_a = np.asarray(block_a, dtype=np.float64)
-    block_b = np.asarray(block_b, dtype=np.float64)
-    if block_a.shape[1] != block_b.shape[1]:
-        raise ValueError(
-            f"equal-length cross kernel needs equal lengths: "
-            f"{block_a.shape[1]} != {block_b.shape[1]}"
-        )
-    result = np.empty((block_a.shape[0], block_b.shape[0]), dtype=np.float64)
-    for i, left in enumerate(block_a):
-        for j, right in enumerate(block_b):
-            result[i, j] = canberra_distance(left, right)
-    return result
-
-
-def pairwise_equal_length_reference(block: np.ndarray) -> np.ndarray:
-    """Per-pair oracle for :func:`pairwise_equal_length`.
-
-    One :func:`canberra_distance` call per unordered pair — the direct
-    transcription of the paper's definition, quadratic in Python-call
-    overhead.  The binned kernel is pinned against this implementation.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    count = block.shape[0]
-    result = np.zeros((count, count), dtype=np.float64)
-    for i in range(count):
-        for j in range(i + 1, count):
-            result[i, j] = result[j, i] = canberra_distance(block[i], block[j])
-    return result
-
-
-def cross_length_block_reference(
-    short_block: np.ndarray,
-    long_block: np.ndarray,
-    penalty_factor: float = DEFAULT_PENALTY_FACTOR,
-) -> np.ndarray:
-    """Per-pair oracle for :func:`cross_length_block`.
-
-    One :func:`canberra_dissimilarity` call per (short, long) pair,
-    including its Python-level sliding-window minimum.
-    """
-    short_block = np.asarray(short_block, dtype=np.float64)
-    long_block = np.asarray(long_block, dtype=np.float64)
-    if short_block.shape[1] >= long_block.shape[1]:
-        raise ValueError(
-            f"short block must be shorter: "
-            f"{short_block.shape[1]} >= {long_block.shape[1]}"
-        )
-    result = np.empty((short_block.shape[0], long_block.shape[0]), dtype=np.float64)
-    for i, short in enumerate(short_block):
-        for j, long in enumerate(long_block):
-            result[i, j] = canberra_dissimilarity(
-                short, long, penalty_factor=penalty_factor
-            )
-    return result

@@ -8,24 +8,15 @@ density-core expansion over epsilon-neighborhoods, with the point
 itself included in its neighborhood count (the scikit-learn
 convention, which the original implementation relied on).
 
-Two interchangeable **neighborhood backends** feed the expansion
-(``neighborhoods=`` parameter, CLI ``--neighborhoods``), both producing
-bit-identical labels:
-
-- ``"csr"`` (default) — the epsilon-graph is assembled blockwise into a
-  compact CSR adjacency (``indptr``/``indices``): the matrix is scanned
-  one row block at a time under a configurable memory bound, so the
-  only n×n-shaped temporary that ever exists is one block's boolean
-  mask.  Peak extra memory is the bound plus the adjacency itself
-  (8 bytes per epsilon-edge), instead of a dense n² boolean matrix.
-- ``"dense"`` — the original reference oracle: materialize the full
-  ``distances <= epsilon`` boolean matrix and index rows out of it.
-  Kept for parity tests and for small traces where n² booleans are
-  cheaper than building the adjacency.
-
-Both backends visit points in the same order and enumerate each
-neighborhood in ascending index order, so the cluster labels (including
-border-point tie-breaking) are identical, not merely equivalent.
+The epsilon-graph feeding the expansion is assembled blockwise into a
+compact CSR adjacency (``indptr``/``indices``): the matrix is scanned
+one row block at a time under a configurable memory bound, so the only
+n×n-shaped temporary that ever exists is one block's boolean mask.
+Peak extra memory is the bound plus the adjacency itself (8 bytes per
+epsilon-edge), instead of a dense n² boolean matrix.  Points are
+visited in index order and each neighborhood is enumerated in ascending
+index order, so the labels (including border-point tie-breaking) equal
+those of the dense textbook formulation the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -42,16 +33,11 @@ from repro.obs.tracer import get_tracer
 NOISE = -1
 UNVISITED = -2
 
-#: Neighborhood backends (see module docstring).
-NEIGHBORHOODS_DENSE = "dense"
-NEIGHBORHOODS_CSR = "csr"
-NEIGHBORHOOD_MODES = (NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE)
-
 ROWS_SCANNED_METRIC = "repro_dbscan_rows_scanned_total"
 
 _ROWS_HELP = (
     "Matrix rows scanned while building DBSCAN epsilon-neighborhoods "
-    "(mode: csr/dense)."
+    "(mode: csr)."
 )
 
 
@@ -89,10 +75,8 @@ def _csr_neighborhoods(
     Scans row blocks sized to the memory bound; each block holds one
     boolean mask plus its extracted column indices, never the full n×n
     boolean matrix.  Column indices come out of ``np.nonzero`` in
-    ascending order per row — the same enumeration order the dense
-    backend produces — and the per-row weighted counts use the same
-    ``mask @ weights`` contraction as the dense path, so downstream
-    labels cannot diverge between the backends.
+    ascending order per row, and the per-row weighted counts are the
+    ``mask @ weights`` contraction over the same mask.
     """
     count = distances.shape[0]
     # Working set per row: the distance row read, its boolean mask, and
@@ -126,7 +110,6 @@ def dbscan(
     epsilon: float,
     min_samples: int,
     weights: np.ndarray | None = None,
-    neighborhoods: str = NEIGHBORHOODS_CSR,
     memory_bound_bytes: int | None = None,
 ) -> DbscanResult:
     """Run DBSCAN on a square distance matrix.
@@ -143,19 +126,12 @@ def dbscan(
     messages still forms a density core — exactly as if the duplicates
     had participated at mutual distance zero.
 
-    *neighborhoods* selects the epsilon-neighborhood backend ("csr"
-    blockwise scan under *memory_bound_bytes*, or the "dense" n×n
-    boolean reference); both yield bit-identical labels (see the module
-    docstring).
+    The epsilon-neighborhoods are scanned blockwise under
+    *memory_bound_bytes* (see the module docstring).
     """
     distances = np.asarray(distances)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
         raise ValueError(f"need a square matrix, got {distances.shape}")
-    if neighborhoods not in NEIGHBORHOOD_MODES:
-        raise ValueError(
-            f"unknown neighborhood mode {neighborhoods!r} "
-            f"(choices: {NEIGHBORHOOD_MODES})"
-        )
     count = distances.shape[0]
     if weights is None:
         weights = np.ones(count, dtype=np.float64)
@@ -164,28 +140,15 @@ def dbscan(
         if weights.shape != (count,):
             raise ValueError(f"weights shape {weights.shape} != ({count},)")
 
-    with get_tracer().span(
-        "dbscan.neighborhoods", mode=neighborhoods, rows=count
-    ) as span:
-        if neighborhoods == NEIGHBORHOODS_CSR:
-            indptr, indices, neighbor_counts = _csr_neighborhoods(
-                distances, weights, epsilon, memory_bound_bytes
-            )
-            span.set(edges=int(indices.size))
+    with get_tracer().span("dbscan.neighborhoods", mode="csr", rows=count) as span:
+        indptr, indices, neighbor_counts = _csr_neighborhoods(
+            distances, weights, epsilon, memory_bound_bytes
+        )
+        span.set(edges=int(indices.size))
+    get_metrics().counter(ROWS_SCANNED_METRIC, help=_ROWS_HELP).inc(count, mode="csr")
 
-            def row(i: int) -> np.ndarray:
-                return indices[indptr[i] : indptr[i + 1]]
-
-        else:
-            within = distances <= epsilon
-            neighbor_counts = within @ weights  # includes self (diagonal zero)
-
-            def row(i: int) -> np.ndarray:
-                return np.nonzero(within[i])[0]
-
-    get_metrics().counter(ROWS_SCANNED_METRIC, help=_ROWS_HELP).inc(
-        count, mode=neighborhoods
-    )
+    def row(i: int) -> np.ndarray:
+        return indices[indptr[i] : indptr[i + 1]]
 
     is_core = neighbor_counts >= min_samples
     labels = np.full(count, UNVISITED, dtype=np.int64)

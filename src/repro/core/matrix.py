@@ -8,42 +8,28 @@ unequal-length pairs use the sliding/penalty extension.  Per length m
 there are two tasks: the equal-length bin, and one cross task pairing
 the length-m block with every longer block, so the longer segments'
 m-byte windows are collected (and deduplicated) once per short length.
+Every task runs the vectorized batch kernel of
+:mod:`repro.core.canberra`: a byte-term lookup table, triangle
+mirroring for equal lengths and a sliding minimum over deduplicated
+windows for unequal lengths.
 
-Two interchangeable **kernels** fill each task
-(:attr:`MatrixBuildOptions.kernel`):
+Three interchangeable execution paths produce bit-identical values:
 
-- ``"binned"`` (default) — the vectorized batch kernel: every task is
-  computed at once via a byte-term lookup table, triangle mirroring for
-  equal lengths and a sliding minimum over deduplicated windows for
-  unequal lengths (see :mod:`repro.core.canberra`);
-- ``"pairwise"`` — the per-pair reference oracle (one
-  ``canberra_dissimilarity`` call per pair), kept so parity and
-  golden-trace tests can pin the fast kernel's numerics (agreement
-  within 1e-12 absolute, in practice bit-identical).
-
-Four interchangeable execution paths produce bit-identical values:
-
-- **serial** — one process walks the tasks in order
-  (the reference implementation, and the automatic fallback when the
-  segment count is below :attr:`MatrixBuildOptions.parallel_threshold`);
-- **threads** (the default parallel backend for the binned kernel) —
-  the tasks, sub-tiled to the kernel's ~160 MB temporary budget,
-  form a work queue scheduled longest-processing-time-first onto a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  The numpy LUT
-  gathers release the GIL, so worker threads share the uint8 blocks
-  and the output matrix (RAM or memmap) zero-copy: each worker writes
-  its disjoint tile straight into the output — no result shipping, no
-  pickling.  Tile boundaries are deterministic (worker-count
-  independent) and every cell is the same reduction either way, so the
-  bytes are identical regardless of worker count or completion order;
-- **processes** (the parallel backend the ``pairwise`` reference
-  oracle keeps) — the independent blocks are dispatched as per-block
-  futures on a :class:`concurrent.futures.ProcessPoolExecutor`
-  (:attr:`MatrixBuildOptions.workers`, default ``os.cpu_count()``),
-  with block-level fault tolerance: a failed or timed-out block is
-  retried once and then recomputed serially in-process, and a crashed
-  or hung pool is rebuilt up to :attr:`MatrixBuildOptions.max_retries`
-  times before the remainder falls back to the serial path;
+- **serial** — one thread walks the tasks in order (the automatic
+  choice when the segment count is below
+  :attr:`MatrixBuildOptions.parallel_threshold` or one worker is
+  requested);
+- **threads** — the tasks, sub-tiled to the kernel's ~160 MB temporary
+  budget, form a work queue scheduled longest-processing-time-first
+  onto a :class:`concurrent.futures.ThreadPoolExecutor`
+  (:attr:`MatrixBuildOptions.workers`, default ``os.cpu_count()``).
+  The numpy LUT gathers release the GIL, so worker threads share the
+  uint8 blocks and the output matrix (RAM or memmap) zero-copy: each
+  worker writes its disjoint tile straight into the output — no result
+  shipping, no pickling.  Tile boundaries are deterministic
+  (worker-count independent) and every cell is the same reduction
+  either way, so the bytes are identical regardless of worker count or
+  completion order;
 - **cached** — a content-addressed ``.npz`` on disk
   (:mod:`repro.core.matrixcache`) short-circuits the whole computation
   for a previously seen segment set + penalty factor.
@@ -59,13 +45,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -76,13 +56,10 @@ from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
-    cross_length_block_reference,
     cross_length_rows,
     equal_length_cross_block,
-    equal_length_cross_block_reference,
     equal_length_cross_rows,
     pairwise_equal_length,
-    pairwise_equal_length_reference,
     pairwise_equal_length_rows,
     sliding_windows,
 )
@@ -100,20 +77,6 @@ PAIRS_VECTORIZED_METRIC = "repro_matrix_pairs_vectorized_total"
 KNN_PARTITION_METRIC = "repro_knn_partition_seconds"
 BIN_QUEUE_METRIC = "repro_matrix_bin_queue_seconds"
 BINS_SCHEDULED_METRIC = "repro_matrix_bins_scheduled_total"
-
-#: The per-bin compute kernels (see module docstring).
-KERNEL_BINNED = "binned"
-KERNEL_PAIRWISE = "pairwise"
-KERNELS = (KERNEL_BINNED, KERNEL_PAIRWISE)
-
-#: Parallel backends (``MatrixBuildOptions.parallel_backend``): "auto"
-#: picks threads for the binned kernel (its numpy gathers release the
-#: GIL, so threads share blocks and output zero-copy) and processes for
-#: the per-pair oracle (pure Python, GIL-bound, needs real processes).
-PARALLEL_AUTO = "auto"
-PARALLEL_THREADS = "threads"
-PARALLEL_PROCESSES = "processes"
-PARALLEL_BACKENDS = (PARALLEL_AUTO, PARALLEL_THREADS, PARALLEL_PROCESSES)
 
 #: Matrix value dtypes (``MatrixBuildOptions.dtype``): float64 is the
 #: bit-exact reference; float32 halves resident memory for large n at
@@ -141,15 +104,11 @@ _KNN_HELP = (
     "(one np.partition pass over the dissimilarity matrix)."
 )
 
-_PAIRS_HELP = (
-    "Unique segment pairs computed by the vectorized (binned) kernel."
-)
+_PAIRS_HELP = "Unique segment pairs computed by the vectorized kernel."
 
 _FAULTS_HELP = (
-    "Self-healing events during parallel matrix builds "
-    "(kind: block_retry/serial_fallback/pool_rebuild for the process "
-    "pool; bin_error for a failed threaded bin — threads have no "
-    "retry ladder, a bin failure fails the build)."
+    "Failed tiles during threaded matrix builds (kind: bin_error; a "
+    "tile failure fails the build)."
 )
 
 _BIN_QUEUE_HELP = (
@@ -162,18 +121,14 @@ _BINS_SCHEDULED_HELP = (
 )
 
 
-def _count_fault(kind: str, amount: int = 1) -> None:
-    if amount:
-        get_metrics().counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(amount, kind=kind)
-
-
 @dataclass(frozen=True)
 class MatrixBuildOptions:
     """Execution knobs for :meth:`DissimilarityMatrix.build`.
 
     The defaults are safe for library use: auto worker count (serial on
     single-core machines and below the parallel threshold) and no disk
-    cache.  The CLIs enable the cache and expose every knob as a flag.
+    cache.  ``options=None`` anywhere means ``MatrixBuildOptions()``.
+    The CLIs enable the cache and expose every knob as a flag.
     """
 
     #: Parallel worker count.  The convention is uniform across the
@@ -185,24 +140,9 @@ class MatrixBuildOptions:
     use_cache: bool = False
     #: Cache location; None means ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
     cache_dir: str | Path | None = None
-    #: Minimum unique-segment count before forking workers pays for
-    #: itself; below it the serial path runs regardless of ``workers``.
+    #: Minimum unique-segment count before starting worker threads pays
+    #: for itself; below it the serial path runs regardless of ``workers``.
     parallel_threshold: int = 512
-    #: Seconds to wait for one block result before treating the worker
-    #: as hung; None waits forever (historical behavior).
-    block_timeout: float | None = None
-    #: How many times a broken or hung process pool is rebuilt before
-    #: the remaining blocks are computed serially in-process.
-    max_retries: int = 2
-    #: Per-bin compute kernel: "binned" (vectorized, default) or
-    #: "pairwise" (per-pair reference oracle; orders of magnitude
-    #: slower, numerically equal within 1e-12).
-    kernel: str = KERNEL_BINNED
-    #: Parallel backend: "auto" (default; threads for the binned
-    #: kernel, processes for the pairwise oracle), "threads" (the bin
-    #: tile scheduler — binned kernel only), or "processes" (the
-    #: self-healing per-block pool).
-    parallel_backend: str = PARALLEL_AUTO
     #: Value dtype: "float64" (bit-exact reference, default) or
     #: "float32" (half the resident matrix memory for large traces;
     #: each value rounds once from the float64 block result).
@@ -213,25 +153,6 @@ class MatrixBuildOptions:
     storage: str = STORAGE_RAM
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown matrix kernel {self.kernel!r} (choices: {KERNELS})"
-            )
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {self.parallel_backend!r} "
-                f"(choices: {PARALLEL_BACKENDS})"
-            )
-        if (
-            self.parallel_backend == PARALLEL_THREADS
-            and self.kernel == KERNEL_PAIRWISE
-        ):
-            raise ValueError(
-                "the threaded backend requires the binned kernel: the "
-                "pairwise oracle is pure Python and holds the GIL, so it "
-                "parallelizes on processes only (parallel_backend="
-                "'processes' or 'auto')"
-            )
         if self.dtype not in DTYPES:
             raise ValueError(
                 f"unknown matrix dtype {self.dtype!r} (choices: {DTYPES})"
@@ -251,47 +172,12 @@ class MatrixBuildOptions:
 
         ``None`` resolves to ``os.cpu_count()``; ``0`` resolves to 1 —
         it *means* serial (the ``--workers 0`` convention shared by both
-        CLIs), and the build honors that because the parallel paths only
-        engage when the resolved count exceeds one.
+        CLIs), and the build honors that because the threaded path only
+        engages when the resolved count exceeds one.
         """
         if self.workers is None:
             return os.cpu_count() or 1
         return int(self.workers) or 1
-
-    def resolved_parallel_backend(self) -> str:
-        """The concrete parallel backend ("threads" or "processes").
-
-        "auto" resolves by kernel: the binned kernel's numpy gathers
-        release the GIL, so it threads; the per-pair oracle is
-        GIL-bound Python and keeps the process pool.
-        """
-        if self.parallel_backend != PARALLEL_AUTO:
-            return self.parallel_backend
-        return (
-            PARALLEL_THREADS if self.kernel == KERNEL_BINNED else PARALLEL_PROCESSES
-        )
-
-
-_DEFAULT_OPTIONS = MatrixBuildOptions()
-
-
-def get_default_build_options() -> MatrixBuildOptions:
-    """The process-wide options used when ``build(options=None)``."""
-    return _DEFAULT_OPTIONS
-
-
-def set_default_build_options(options: MatrixBuildOptions) -> MatrixBuildOptions:
-    """Replace the process-wide default options; returns the previous ones.
-
-    CLIs call this once from their flags so that every internal
-    ``DissimilarityMatrix.build`` call site (pipeline, figures, message
-    type similarity) picks up the same backend configuration without
-    threading options through every signature.
-    """
-    global _DEFAULT_OPTIONS
-    previous = _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = options
-    return previous
 
 
 @dataclass
@@ -303,11 +189,6 @@ class BuildStats:
     #: produced values (append = incremental growth of an existing
     #: matrix; only the new cells were computed).
     backend: str = "serial"
-    #: "threads" or "processes" when the backend is "parallel"; None on
-    #: the serial and cache paths.
-    parallel_backend: str | None = None
-    #: "binned" or "pairwise" — the per-bin compute kernel.
-    kernel: str = KERNEL_BINNED
     #: "float64" or "float32" — the stored value dtype.
     dtype: str = DTYPE_FLOAT64
     #: "ram" or "memmap" — where the values live.
@@ -318,16 +199,10 @@ class BuildStats:
     #: Scheduled tiles on the threaded backend (bins sub-tiled to the
     #: kernel's temporary budget); 0 elsewhere.
     tile_count: int = 0
-    #: Unique segment pairs computed by the vectorized (binned) kernel.
+    #: Unique segment pairs computed by the vectorized kernel.
     pairs_vectorized: int = 0
     cache_hit: bool = False
     cache_key: str | None = None
-    #: Self-healing bookkeeping: blocks re-submitted to the pool after a
-    #: failure/timeout, blocks recomputed serially in-process, and how
-    #: often the pool itself was rebuilt.
-    block_retries: int = 0
-    serial_fallback_blocks: int = 0
-    pool_rebuilds: int = 0
     #: Per-stage wall-clock seconds: blocks/compute/cache_load/cache_store/total.
     seconds: dict[str, float] = field(default_factory=dict)
 
@@ -339,9 +214,8 @@ def _segment_blocks(
 
     Rows are decoded with ``np.frombuffer`` over the concatenated raw
     bytes — no per-byte Python list round-trip.  Kept as raw uint8 so
-    the binned kernel can gather Canberra terms straight from the
-    byte-term lookup table; the pairwise reference kernel widens to
-    float64 itself.
+    the kernel can gather Canberra terms straight from the byte-term
+    lookup table.
     """
     blocks = {}
     for length, indices in by_length.items():
@@ -370,7 +244,6 @@ class _Task(NamedTuple):
     block_a: np.ndarray
     block_b: np.ndarray | tuple[np.ndarray, ...] | None
     penalty_factor: float
-    kernel: str
     rows: list[int]
     cols: list[int]
 
@@ -379,7 +252,6 @@ def _cross_task(
     short: tuple[np.ndarray, list[int]],
     longer: list[tuple[np.ndarray, list[int]]],
     penalty_factor: float,
-    kernel: str,
 ) -> _Task:
     """The cross-length task of one short block against its longer blocks."""
     block, rows = short
@@ -390,7 +262,6 @@ def _cross_task(
         block,
         tuple(long_block for long_block, _ in longer),
         penalty_factor,
-        kernel,
         rows,
         [index for _, indices in longer for index in indices],
     )
@@ -400,7 +271,6 @@ def _block_tasks(
     lengths: list[int],
     blocks: dict[int, np.ndarray],
     penalty_factor: float,
-    kernel: str,
     by_length: dict[int, list[int]],
 ) -> list[_Task]:
     """Work items of a batch build: per length, its bin and one cross task.
@@ -419,7 +289,6 @@ def _block_tasks(
                 blocks[length],
                 None,
                 penalty_factor,
-                kernel,
                 by_length[length],
                 by_length[length],
             )
@@ -427,9 +296,7 @@ def _block_tasks(
         longer = [(blocks[n], by_length[n]) for n in lengths[li + 1 :]]
         if longer:
             tasks.append(
-                _cross_task(
-                    (blocks[length], by_length[length]), longer, penalty_factor, kernel
-                )
+                _cross_task((blocks[length], by_length[length]), longer, penalty_factor)
             )
     return tasks
 
@@ -633,7 +500,7 @@ def _compute_tiles_threaded(
             try:
                 record = future.result()
             except Exception as error:
-                _count_fault("bin_error")
+                metrics.counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(kind="bin_error")
                 if failure is None:
                     failure = (tile, error)
                     # Threads cannot be killed: cancel everything still
@@ -650,7 +517,6 @@ def _compute_tiles_threaded(
                 len_a=task.len_a,
                 len_b=task.len_b,
                 pairs=_tile_pair_count(task, tile[1], tile[2]),
-                kernel=options.kernel,
                 worker=record["worker"],
                 tile=f"{tile[1]}:{tile[2]}",
                 queue_seconds=round(record["queue_seconds"], 6),
@@ -670,52 +536,17 @@ def _compute_tiles_threaded(
 
 
 def _compute_block_task(task: _Task) -> tuple[np.ndarray, dict]:
-    """Worker entry point: compute one whole task.
+    """Compute one whole task: the serial path's unit of work.
 
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; also the
-    serial path's unit of work, keeping both paths bit-identical.  The
-    task's kernel selects the vectorized binned batch functions or their
-    per-pair reference oracles; the oracle walks a cross task one longer
-    block at a time.  Returns the block and its extra ``matrix.bin``
-    span attributes.
+    Returns the block and its extra ``matrix.bin`` span attributes.  A
+    "same" block is the full symmetric square of its bin (the kernel
+    computes the upper triangle and mirrors it).
     """
-    pairwise = task.kernel == KERNEL_PAIRWISE
     if task.kind == "same":
-        compute = pairwise_equal_length_reference if pairwise else pairwise_equal_length
-        return compute(task.block_a), {}
+        return pairwise_equal_length(task.block_a), {}
     if task.kind == "eqcross":
-        compute = (
-            equal_length_cross_block_reference if pairwise else equal_length_cross_block
-        )
-        return compute(task.block_a, task.block_b), {}
-    if pairwise:
-        return (
-            np.hstack(
-                [
-                    cross_length_block_reference(
-                        task.block_a, long_block, penalty_factor=task.penalty_factor
-                    )
-                    for long_block in task.block_b
-                ]
-            ),
-            {},
-        )
+        return equal_length_cross_block(task.block_a, task.block_b), {}
     return _cross_rows(task, 0, task.block_a.shape[0])
-
-
-def _recover_serially(task: _Task) -> tuple[np.ndarray, dict]:
-    """Last-resort in-process recomputation of one block.
-
-    Runs after the pool-level retry ladder is exhausted; an exception
-    here means the block itself is uncomputable, which is a genuine
-    defect, so it surfaces as :class:`ComputeError`.
-    """
-    try:
-        return _compute_block_task(task)
-    except Exception as error:
-        raise ComputeError(
-            f"block ({task.len_a}, {task.len_b}) failed even in serial fallback: {error}"
-        ) from error
 
 
 def _scatter_results(
@@ -735,9 +566,7 @@ def _scatter_results(
             values[np.ix_(task.cols, task.rows)] = block_values.T
 
 
-def _compute_tasks_serially(
-    values: np.ndarray, tasks: list[_Task], kernel: str
-) -> None:
+def _compute_tasks_serially(values: np.ndarray, tasks: list[_Task]) -> None:
     """Compute every task in order, one ``matrix.bin`` span each, into *values*."""
     tracer = get_tracer()
     for task in tasks:
@@ -747,121 +576,41 @@ def _compute_tasks_serially(
             len_a=task.len_a,
             len_b=task.len_b,
             pairs=_task_pair_count(task),
-            kernel=kernel,
         ) as span:
             result = _compute_block_task(task)
             span.set(**result[1])
         _scatter_results(values, [task], [result])
 
 
-def _count_vectorized_pairs(tasks: list[_Task], stats: BuildStats) -> None:
-    """Record the pairs the binned kernel computed (none for the oracle)."""
-    if stats.kernel != KERNEL_BINNED:
-        return
+def _compute_tasks(
+    values: np.ndarray,
+    tasks: list[_Task],
+    count: int,
+    options: MatrixBuildOptions,
+    stats: BuildStats,
+) -> bool:
+    """Fill *values* from *tasks*; returns whether the threaded path ran.
+
+    Threads engage above the parallel threshold with more than one
+    worker; otherwise (or when no executor can be created) the tasks
+    run serially.  Either way the pairs computed are counted.
+    """
+    workers = options.effective_workers()
+    threaded = (
+        workers > 1
+        and bool(tasks)
+        and count >= options.parallel_threshold
+        and _compute_tiles_threaded(tasks, values, options, stats)
+    )
+    if threaded:
+        stats.workers = workers
+    else:
+        _compute_tasks_serially(values, tasks)
     stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
     get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
         stats.pairs_vectorized
     )
-
-
-def _compute_tasks_parallel(
-    tasks: list[_Task], options: MatrixBuildOptions, stats: BuildStats
-) -> list[tuple[np.ndarray, dict]] | None:
-    """Run *tasks* on a process pool with block-level fault tolerance.
-
-    Every block is retried once in the pool after a failure or timeout,
-    then recomputed serially in-process; a broken pool (crashed worker)
-    or a hung worker triggers a pool rebuild, up to
-    :attr:`MatrixBuildOptions.max_retries` times, after which whatever
-    is left runs serially.  All recovery paths reuse
-    :func:`_compute_block_task`, so the result stays bit-identical to
-    the serial reference no matter which path produced each block.
-
-    Returns None when the pool cannot be created at all (restricted
-    environments without fork/semaphores) so the caller can fall back
-    to the plain serial loop.
-    """
-    workers = options.effective_workers()
-    try:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, RuntimeError) as error:
-        logger.debug("parallel build unavailable (%s); serial", error)
-        return None
-    results: dict[int, tuple[np.ndarray, dict]] = {}
-    attempts: dict[int, int] = {}
-    rebuilds = 0
-    pending = list(range(len(tasks)))
-    try:
-        while pending:
-            futures = {}
-            pool_broken = False
-            for i in pending:
-                try:
-                    futures[i] = executor.submit(_compute_block_task, tasks[i])
-                except (BrokenExecutor, RuntimeError):
-                    pool_broken = True
-                    break
-            failed: list[int] = []
-            needs_rebuild = pool_broken
-            for i, future in futures.items():
-                if needs_rebuild and not future.done():
-                    # The pool is already known-bad (crash or hang):
-                    # don't wait on the remaining futures, just requeue.
-                    future.cancel()
-                    failed.append(i)
-                    continue
-                try:
-                    results[i] = future.result(timeout=options.block_timeout)
-                except (FuturesTimeoutError, TimeoutError):
-                    logger.warning(
-                        "matrix block %d timed out after %.3gs",
-                        i,
-                        options.block_timeout or 0.0,
-                    )
-                    needs_rebuild = True  # the worker is hung; abandon the pool
-                    failed.append(i)
-                except BrokenExecutor as error:
-                    logger.warning("matrix worker pool broke: %s", error)
-                    needs_rebuild = True
-                    failed.append(i)
-                except Exception as error:
-                    logger.warning("matrix block %d raised: %s", i, error)
-                    failed.append(i)
-            failed.extend(i for i in pending if i not in futures and i not in failed)
-            pending = []
-            for i in failed:
-                attempts[i] = attempts.get(i, 0) + 1
-                if attempts[i] <= 1:
-                    stats.block_retries += 1
-                    _count_fault("block_retry")
-                    pending.append(i)
-                else:
-                    results[i] = _recover_serially(tasks[i])
-                    stats.serial_fallback_blocks += 1
-                    _count_fault("serial_fallback")
-            if pending and needs_rebuild:
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = None
-                if rebuilds < options.max_retries:
-                    rebuilds += 1
-                    stats.pool_rebuilds += 1
-                    _count_fault("pool_rebuild")
-                    try:
-                        executor = ProcessPoolExecutor(max_workers=workers)
-                    except (OSError, ValueError, RuntimeError) as error:
-                        logger.warning("pool rebuild failed (%s); serial", error)
-                if executor is None:
-                    # Rebuild budget exhausted (or rebuild impossible):
-                    # finish everything that is left in-process.
-                    for i in pending:
-                        results[i] = _recover_serially(tasks[i])
-                        stats.serial_fallback_blocks += 1
-                        _count_fault("serial_fallback")
-                    pending = []
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return [results[i] for i in range(len(tasks))]
+    return threaded
 
 
 def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
@@ -916,13 +665,11 @@ class DissimilarityMatrix:
     ) -> "DissimilarityMatrix":
         """Build D over *segments*, honoring the execution *options*.
 
-        With ``options=None`` the process-wide defaults apply (see
-        :func:`set_default_build_options`).  All execution paths return
-        values ``np.allclose``-equal (in fact bit-identical) to the
-        serial reference.
+        ``options=None`` means ``MatrixBuildOptions()``.  Every
+        execution path returns values bit-identical to the serial one.
         """
         if options is None:
-            options = get_default_build_options()
+            options = MatrixBuildOptions()
         matrixcache.declare_cache_metrics()
         with get_tracer().span(
             "matrix.build", unique_segments=len(segments)
@@ -930,7 +677,6 @@ class DissimilarityMatrix:
             started = time.perf_counter()
             stats = BuildStats(
                 unique_count=len(segments),
-                kernel=options.kernel,
                 dtype=options.dtype,
                 storage=options.storage,
             )
@@ -940,7 +686,6 @@ class DissimilarityMatrix:
                 stats.cache_key, order = matrixcache.canonical_order_key(
                     [segment.data for segment in segments],
                     penalty_factor,
-                    kernel=options.kernel,
                     dtype=options.dtype,
                 )
                 load_started = time.perf_counter()
@@ -975,7 +720,6 @@ class DissimilarityMatrix:
         """Mirror one build's :class:`BuildStats` into span + metrics."""
         span.set(
             backend=stats.backend,
-            kernel=stats.kernel,
             dtype=stats.dtype,
             storage=stats.storage,
             workers=stats.workers,
@@ -983,16 +727,8 @@ class DissimilarityMatrix:
             cache_hit=stats.cache_hit,
             cache_key=stats.cache_key,
         )
-        if stats.parallel_backend is not None:
-            span.set(parallel_backend=stats.parallel_backend)
         if stats.tile_count:
             span.set(tiles=stats.tile_count)
-        if stats.block_retries or stats.serial_fallback_blocks or stats.pool_rebuilds:
-            span.set(
-                block_retries=stats.block_retries,
-                serial_fallback_blocks=stats.serial_fallback_blocks,
-                pool_rebuilds=stats.pool_rebuilds,
-            )
         get_metrics().counter(
             BUILDS_METRIC, help="Dissimilarity-matrix builds by backend."
         ).inc(backend=stats.backend)
@@ -1013,44 +749,13 @@ class DissimilarityMatrix:
             by_length.setdefault(segment.length, []).append(index)
         blocks = _segment_blocks(segments, by_length)
         lengths = sorted(by_length)
-        tasks = _block_tasks(lengths, blocks, penalty_factor, options.kernel, by_length)
+        tasks = _block_tasks(lengths, blocks, penalty_factor, by_length)
         stats.seconds["blocks"] = time.perf_counter() - blocks_started
         stats.task_count = len(tasks)
 
-        workers = options.effective_workers()
-        parallel = workers > 1 and count >= options.parallel_threshold
         compute_started = time.perf_counter()
-        results = None
-        in_place = False
-        if (
-            parallel
-            and tasks
-            and options.resolved_parallel_backend() == PARALLEL_THREADS
-        ):
-            # Threaded bin scheduler: workers write their disjoint
-            # tiles straight into ``values`` — nothing to scatter.
-            in_place = _compute_tiles_threaded(tasks, values, options, stats)
-            if in_place:
-                stats.backend = "parallel"
-                stats.parallel_backend = PARALLEL_THREADS
-                stats.workers = workers
-        elif parallel and len(tasks) > 1:
-            # The process pool's unit of work is a whole block, so a
-            # single-bin build has nothing to distribute.
-            results = _compute_tasks_parallel(tasks, options, stats)
-            if results is not None:
-                stats.backend = "parallel"
-                stats.parallel_backend = PARALLEL_PROCESSES
-                stats.workers = workers
-        if results is not None:
-            _scatter_results(values, tasks, results)
-        elif not in_place:
-            # Restricted environments (no fork, no semaphores) fall
-            # back to the serial reference rather than failing.  Each
-            # bin gets a child span here (process-pool bins run in
-            # worker processes, outside the parent tracer's reach).
-            _compute_tasks_serially(values, tasks, options.kernel)
-        _count_vectorized_pairs(tasks, stats)
+        if _compute_tasks(values, tasks, count, options, stats):
+            stats.backend = "parallel"
         stats.seconds["compute"] = time.perf_counter() - compute_started
         return values, stats
 
@@ -1152,7 +857,6 @@ def _append_tasks(
     old_blocks: dict[int, np.ndarray],
     new_blocks: dict[int, np.ndarray],
     penalty_factor: float,
-    kernel: str,
 ) -> list[_Task]:
     """Work items covering exactly the cells an append adds.
 
@@ -1181,7 +885,6 @@ def _append_tasks(
                     new_blocks[length],
                     None,
                     penalty_factor,
-                    kernel,
                     new,
                     new,
                 )
@@ -1195,7 +898,6 @@ def _append_tasks(
                     new_blocks[length],
                     old_blocks[length],
                     penalty_factor,
-                    kernel,
                     new,
                     old,
                 )
@@ -1213,17 +915,12 @@ def _append_tasks(
         if new and (longer_old or longer_new):
             tasks.append(
                 _cross_task(
-                    (new_blocks[length], new),
-                    longer_old + longer_new,
-                    penalty_factor,
-                    kernel,
+                    (new_blocks[length], new), longer_old + longer_new, penalty_factor
                 )
             )
         if old and longer_new:
             tasks.append(
-                _cross_task(
-                    (old_blocks[length], old), longer_new, penalty_factor, kernel
-                )
+                _cross_task((old_blocks[length], old), longer_new, penalty_factor)
             )
     return tasks
 
@@ -1253,7 +950,7 @@ class AppendableMatrix:
         reserve_factor: float = 1.5,
     ) -> None:
         if options is None:
-            options = get_default_build_options()
+            options = MatrixBuildOptions()
         if reserve_factor < 1.0:
             raise ValueError(f"reserve_factor must be >= 1, got {reserve_factor}")
         self.options = options
@@ -1323,7 +1020,6 @@ class AppendableMatrix:
             stats = BuildStats(
                 unique_count=count,
                 backend="append",
-                kernel=options.kernel,
                 dtype=options.dtype,
                 storage=options.storage,
             )
@@ -1348,27 +1044,12 @@ class AppendableMatrix:
                 old_blocks,
                 new_blocks,
                 self.penalty_factor,
-                options.kernel,
             )
             stats.seconds["blocks"] = time.perf_counter() - blocks_started
             stats.task_count = len(tasks)
 
             compute_started = time.perf_counter()
-            workers = options.effective_workers()
-            in_place = False
-            if (
-                workers > 1
-                and tasks
-                and count >= options.parallel_threshold
-                and options.resolved_parallel_backend() == PARALLEL_THREADS
-            ):
-                in_place = _compute_tiles_threaded(tasks, values, options, stats)
-                if in_place:
-                    stats.parallel_backend = PARALLEL_THREADS
-                    stats.workers = workers
-            if not in_place:
-                _compute_tasks_serially(values, tasks, options.kernel)
-            _count_vectorized_pairs(tasks, stats)
+            _compute_tasks(values, tasks, count, options, stats)
             stats.seconds["compute"] = time.perf_counter() - compute_started
 
             merged_knn = self._merged_knn_columns(values, old_count, count)
@@ -1459,10 +1140,7 @@ class AppendableMatrix:
         """
         datas = [segment.data for segment in self._matrix.segments]
         key, order = matrixcache.canonical_order_key(
-            datas,
-            self.penalty_factor,
-            kernel=self.options.kernel,
-            dtype=self.options.dtype,
+            datas, self.penalty_factor, dtype=self.options.dtype
         )
         canonical = np.ascontiguousarray(self._matrix.values[np.ix_(order, order)])
         matrixcache.store_matrix(key, canonical, cache_dir or self.options.cache_dir)

@@ -3,12 +3,11 @@
 Every benchmark and repeated pipeline run recomputes the identical
 O(n²) Canberra matrix for the same trace.  This module keys a finished
 matrix by a SHA-256 over the *sorted* unique-segment byte values plus
-the penalty factor, the compute kernel, the value dtype, and a format
-version, and stores
+the penalty factor, the value dtype, and a format version, and stores
 it as a compressed ``.npz`` next to nothing else the pipeline owns:
 
 - location: ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``;
-- key: ``sha256(version || kernel || dtype || penalty || len(data)||data ...)``
+- key: ``sha256(version || dtype || penalty || len(data)||data ...)``
   over the values in sorted order, so the key is independent of segment
   order (the caller permutes rows back to its own order);
 - invalidation: bump :data:`CACHE_FORMAT_VERSION` whenever the matrix
@@ -41,12 +40,12 @@ from repro.obs.metrics import Counter, get_metrics
 
 #: Bump to invalidate every existing cache entry (schema or semantics
 #: changes in the matrix computation).  v2 added the payload checksum;
-#: v3 keys the compute kernel (binned vs pairwise) after the kernel
-#: rewrite, so entries produced by one kernel are never served to a
-#: build requesting the other; v4 keys the value dtype (float64 vs
+#: v3 keyed the compute kernel; v4 keys the value dtype (float64 vs
 #: float32 storage mode) so a half-precision matrix is never served to
 #: a build expecting the bit-exact reference, and entries preserve
-#: their stored dtype on load.
+#: their stored dtype on load.  Since only one kernel exists, its name
+#: is no longer hashed: the key preimage changed, so entries written
+#: with a kernel name are never addressed again.
 CACHE_FORMAT_VERSION = 4
 
 HITS_METRIC = "repro_matrix_cache_hits_total"
@@ -105,22 +104,17 @@ def default_cache_dir() -> Path:
 def matrix_cache_key(
     sorted_datas: Iterable[bytes],
     penalty_factor: float,
-    kernel: str = "binned",
     dtype: str = "float64",
 ) -> str:
-    """SHA-256 key over sorted values + penalty + kernel + dtype + version.
+    """SHA-256 key over sorted values + penalty + dtype + version.
 
     *sorted_datas* must already be in canonical (byte-sorted) order; each
-    value is length-prefixed so concatenation is unambiguous.  *kernel*
-    names the compute kernel that produced (or will produce) the values;
-    the two kernels agree within 1e-12 but are cached separately so a
-    reference-oracle run never reads fast-kernel output.  *dtype* names
-    the stored value precision for the same reason: a float32 entry must
-    never satisfy a float64 build.
+    value is length-prefixed so concatenation is unambiguous.  *dtype*
+    names the stored value precision: a float32 entry must never
+    satisfy a float64 build.
     """
     digest = hashlib.sha256()
     digest.update(f"repro-matrix-v{CACHE_FORMAT_VERSION}\0".encode())
-    digest.update(kernel.encode() + b"\0")
     digest.update(dtype.encode() + b"\0")
     digest.update(struct.pack("<d", float(penalty_factor)))
     for data in sorted_datas:
@@ -132,7 +126,6 @@ def matrix_cache_key(
 def canonical_order_key(
     datas: list[bytes],
     penalty_factor: float,
-    kernel: str = "binned",
     dtype: str = "float64",
 ) -> tuple[str, list[int]]:
     """Cache key plus the byte-sorting permutation that canonicalizes it.
@@ -143,9 +136,7 @@ def canonical_order_key(
     store and the inverse permutation restores a loaded one.
     """
     order = sorted(range(len(datas)), key=datas.__getitem__)
-    key = matrix_cache_key(
-        (datas[i] for i in order), penalty_factor, kernel=kernel, dtype=dtype
-    )
+    key = matrix_cache_key((datas[i] for i in order), penalty_factor, dtype=dtype)
     return key, order
 
 

@@ -10,15 +10,21 @@ types* and retains every intermediate artefact the evaluation needs
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.autoconf import AutoConfig, configure
 from repro.core.canberra import DEFAULT_PENALTY_FACTOR
-from repro.core.dbscan import NEIGHBORHOODS_CSR, DbscanResult, dbscan
+from repro.core.dbscan import DbscanResult, dbscan
 from repro.core.kneedle import DEFAULT_SENSITIVITY
-from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import (
+    STORAGE_MEMMAP,
+    STORAGE_RAM,
+    DissimilarityMatrix,
+    MatrixBuildOptions,
+)
 from repro.core.refinement import (
     EPSILON_RHO_THRESHOLD,
     NEIGHBOR_DENSITY_THRESHOLD,
@@ -63,13 +69,14 @@ class ClusteringConfig:
     #: frequent values over-densify their neighborhoods and chain types
     #: together; kept as an ablation knob.
     weighted_density: bool = False
-    #: Matrix execution backend (workers / on-disk cache); None uses the
-    #: process-wide defaults (see
-    #: :func:`repro.core.matrix.set_default_build_options`).
+    #: Matrix execution backend (workers / on-disk cache); None means
+    #: ``MatrixBuildOptions()``.
     matrix_options: MatrixBuildOptions | None = None
-    #: DBSCAN epsilon-neighborhood backend ("csr" blockwise scan or the
-    #: "dense" n×n boolean reference); both yield identical labels.
-    neighborhoods: str = NEIGHBORHOODS_CSR
+    #: Deprecated and ignored: DBSCAN always scans blockwise CSR
+    #: neighborhoods, whose labels equal the retired "dense" backend's.
+    #: Kept for one release so existing configs (and the checkpoint
+    #: fingerprints derived from them) stay valid.
+    neighborhoods: str = "csr"
     #: Boundary-refinement pass composed with the segmenter ("none" or
     #: "pca", see :mod:`repro.segmenters.pca`).  Consumed by
     #: :func:`repro.segmenters.resolve_segmenter` via the analysis entry
@@ -81,27 +88,31 @@ class ClusteringConfig:
     #: :data:`repro.core.membound.DEFAULT_MEMORY_BOUND_BYTES`.
     memory_bound_bytes: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.neighborhoods != "csr":
+            warnings.warn(
+                "ClusteringConfig.neighborhoods is deprecated and ignored: "
+                "DBSCAN always uses the blockwise CSR neighborhoods, which "
+                "yield the same labels as the retired dense backend",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+
     @classmethod
     def from_args(cls, args, **overrides) -> "ClusteringConfig":
         """Build a config from the shared CLI flags (:mod:`repro.cliopts`).
 
         Reads ``args.workers`` / ``args.no_cache`` / ``args.cache_dir``
-        / ``args.kernel`` / ``args.parallel_backend`` /
-        ``args.matrix_dtype`` / ``args.matrix_memmap``
-        into explicit :attr:`matrix_options`, plus ``args.neighborhoods``
-        and ``args.memory_bound_mb`` into the post-matrix stage knobs, so
-        CLI runs configure the backend per-config instead of mutating the
-        process-wide defaults.  *overrides* are forwarded to the
-        constructor.
+        / ``args.matrix_dtype`` / ``args.matrix_memmap`` into explicit
+        :attr:`matrix_options`, plus ``args.memory_bound_mb`` into the
+        post-matrix stage knobs.  This is the one translation from flags
+        to options; every CLI passes the resulting config explicitly.
+        *overrides* are forwarded to the constructor.
         """
-        from repro.core.matrix import STORAGE_MEMMAP, STORAGE_RAM
-
         options = MatrixBuildOptions(
             workers=getattr(args, "workers", None),
             use_cache=not getattr(args, "no_cache", False),
             cache_dir=getattr(args, "cache_dir", None),
-            kernel=getattr(args, "kernel", None) or "binned",
-            parallel_backend=getattr(args, "parallel_backend", None) or "auto",
             dtype=getattr(args, "matrix_dtype", None) or "float64",
             storage=(
                 STORAGE_MEMMAP
@@ -115,7 +126,6 @@ class ClusteringConfig:
         )
         return cls(
             matrix_options=options,
-            neighborhoods=getattr(args, "neighborhoods", None) or NEIGHBORHOODS_CSR,
             memory_bound_bytes=(
                 int(bound_mb) * 1024 * 1024 if bound_mb is not None else None
             ),
@@ -187,47 +197,7 @@ class FieldTypeClusterer:
         root) and reports its outcome to the active metrics registry;
         ``ClusteringResult.timings`` is a flat view over the same spans.
         """
-        config = self.config
-        tracer = get_tracer()
-        with tracer.span("pipeline", segments=len(segments)) as pipeline_span:
-            analyzable, excluded = self._partition_unique(segments)
-            pipeline_span.set(
-                unique_segments=len(analyzable), excluded=len(excluded)
-            )
-            with tracer.span("matrix", unique_segments=len(analyzable)) as matrix_span:
-                matrix = DissimilarityMatrix.build(
-                    analyzable,
-                    penalty_factor=config.penalty_factor,
-                    options=config.matrix_options,
-                )
-                if matrix.stats is not None:
-                    matrix_span.set(
-                        backend=matrix.stats.backend,
-                        cache_hit=matrix.stats.cache_hit,
-                    )
-            auto, result, refined, noise, retrims, stage_spans = self._post_matrix(
-                matrix, analyzable, tracer
-            )
-            pipeline_span.set(clusters=len(refined), noise=len(noise))
-        timings = {
-            "matrix": matrix_span.wall_seconds,
-            "autoconf": stage_spans["autoconf"].wall_seconds,
-            "dbscan": stage_spans["dbscan"].wall_seconds,
-            "refine": stage_spans["refine"].wall_seconds,
-            "total": pipeline_span.wall_seconds,
-        }
-        self._record_metrics(timings, analyzable, refined, noise, retrims)
-        return ClusteringResult(
-            segments=analyzable,
-            clusters=refined,
-            noise=noise,
-            autoconfig=auto,
-            matrix=matrix,
-            dbscan_result=result,
-            retrims=retrims,
-            excluded=excluded,
-            timings=timings,
-        )
+        return self._run(len(segments), segments=segments)
 
     def cluster_matrix(
         self,
@@ -245,24 +215,63 @@ class FieldTypeClusterer:
         *excluded* carries the too-short uniques for reporting parity
         with :meth:`cluster`.  Identical matrix + config produce a
         result identical to the batch path, because the stages are the
-        same code.
+        same code.  The span tree has no ``matrix`` child, and
+        ``timings["matrix"]`` is 0 (the cost lives on ``matrix.stats``).
         """
-        analyzable = matrix.segments
-        if not analyzable:
+        if not matrix.segments:
             raise ValueError("no analyzable segments (empty matrix)")
-        excluded = list(excluded) if excluded is not None else []
+        return self._run(
+            len(matrix.segments),
+            matrix=matrix,
+            excluded=list(excluded) if excluded is not None else [],
+        )
+
+    def _run(
+        self,
+        segment_count: int,
+        *,
+        segments: list[Segment] | None = None,
+        matrix: DissimilarityMatrix | None = None,
+        excluded: list[UniqueSegment] | None = None,
+    ) -> ClusteringResult:
+        """The stage body of both entry points, under one ``pipeline`` span.
+
+        Given *segments*, partitions their unique values and builds the
+        matrix inside a ``matrix`` span; given a prebuilt *matrix* (with
+        its *excluded* uniques), starts at autoconf.
+        """
+        config = self.config
         tracer = get_tracer()
-        with tracer.span("pipeline", segments=len(analyzable)) as pipeline_span:
+        matrix_seconds = 0.0
+        with tracer.span("pipeline", segments=segment_count) as pipeline_span:
+            if matrix is None:
+                analyzable, excluded = self._partition_unique(segments)
+            else:
+                analyzable = matrix.segments
             pipeline_span.set(
                 unique_segments=len(analyzable), excluded=len(excluded)
             )
+            if matrix is None:
+                with tracer.span(
+                    "matrix", unique_segments=len(analyzable)
+                ) as matrix_span:
+                    matrix = DissimilarityMatrix.build(
+                        analyzable,
+                        penalty_factor=config.penalty_factor,
+                        options=config.matrix_options,
+                    )
+                    if matrix.stats is not None:
+                        matrix_span.set(
+                            backend=matrix.stats.backend,
+                            cache_hit=matrix.stats.cache_hit,
+                        )
+                matrix_seconds = matrix_span.wall_seconds
             auto, result, refined, noise, retrims, stage_spans = self._post_matrix(
                 matrix, analyzable, tracer
             )
             pipeline_span.set(clusters=len(refined), noise=len(noise))
         timings = {
-            # The matrix came prebuilt; its cost lives on matrix.stats.
-            "matrix": 0.0,
+            "matrix": matrix_seconds,
             "autoconf": stage_spans["autoconf"].wall_seconds,
             "dbscan": stage_spans["dbscan"].wall_seconds,
             "refine": stage_spans["refine"].wall_seconds,
@@ -320,7 +329,6 @@ class FieldTypeClusterer:
                     epsilon,
                     min_samples,
                     weights=weights,
-                    neighborhoods=config.neighborhoods,
                     memory_bound_bytes=config.memory_bound_bytes,
                 )
 
@@ -444,20 +452,16 @@ class FieldTypeClusterer:
 
     def _configure(self, matrix: DissimilarityMatrix, trim_at: float | None) -> AutoConfig:
         config = self.config
-        if config.fixed_epsilon is not None:
-            auto = configure(
-                matrix,
-                sensitivity=config.sensitivity,
-                smoothness=config.smoothness,
-                trim_at=trim_at,
-            )
-            return replace(auto, epsilon=config.fixed_epsilon)
-        return configure(
+        auto = configure(
             matrix,
             sensitivity=config.sensitivity,
             smoothness=config.smoothness,
             trim_at=trim_at,
+            memory_bound_bytes=config.memory_bound_bytes,
         )
+        if config.fixed_epsilon is not None:
+            return replace(auto, epsilon=config.fixed_epsilon)
+        return auto
 
     def _has_giant_cluster(self, result: DbscanResult, fraction: float | None = None) -> bool:
         if fraction is None:

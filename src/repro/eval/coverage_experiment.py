@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.fieldhunter import FieldHunter
+from repro.core.pipeline import ClusteringConfig
 from repro.eval.reporting import fmt_pct, render_table
 from repro.eval.runner import (
     DEFAULT_SEED,
@@ -90,6 +91,7 @@ class CoverageComparison:
 def run_coverage_comparison(
     seed: int = DEFAULT_SEED,
     rows: list[tuple[str, int]] | None = None,
+    config: ClusteringConfig | None = None,
 ) -> CoverageComparison:
     """Compute the FieldHunter-vs-clustering coverage comparison (E5)."""
     if rows is None:
@@ -102,7 +104,7 @@ def run_coverage_comparison(
         best_seg = "-"
         cell_coverages = []
         for segmenter in HEURISTIC_SEGMENTERS:
-            cell = run_cell(proto, count, segmenter, seed=seed)
+            cell = run_cell(proto, count, segmenter, seed=seed, config=config)
             if cell.failed or cell.coverage is None or cell.score is None:
                 continue
             cell_coverages.append(cell.coverage)

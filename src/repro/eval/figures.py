@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.autoconf import configure
 from repro.core.ecdf import Ecdf
-from repro.core.matrix import DissimilarityMatrix
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import segments_from_fields, unique_segments
 from repro.eval.reporting import ascii_plot
 from repro.eval.runner import DEFAULT_SEED, prepare_trace
@@ -49,7 +49,10 @@ class Figure2:
 
 
 def run_figure2(
-    protocol: str = "ntp", message_count: int = 1000, seed: int = DEFAULT_SEED
+    protocol: str = "ntp",
+    message_count: int = 1000,
+    seed: int = DEFAULT_SEED,
+    matrix_options: MatrixBuildOptions | None = None,
 ) -> Figure2:
     """Compute Figure 2's ECDF + knee for one protocol trace."""
     model, trace = prepare_trace(protocol, message_count, seed)
@@ -59,7 +62,7 @@ def run_figure2(
             segments_from_fields(index, message.data, model.dissect(message.data))
         )
     uniq = unique_segments(segments)
-    matrix = DissimilarityMatrix.build(uniq)
+    matrix = DissimilarityMatrix.build(uniq, options=matrix_options)
     auto = configure(matrix)
     raw = Ecdf.from_samples(matrix.knn_distances(auto.k))
     ecdf_x, ecdf_y = raw.step_points

@@ -10,13 +10,13 @@ import math
 import time
 from dataclasses import dataclass
 
-from repro.api import cluster_segments
+from repro.api import cluster_segments, complete_run
 from repro.core.pipeline import ClusteringConfig
 from repro.errors import ComputeError
 from repro.eval.truth import label_with_truth
 from repro.metrics import clustering_coverage, score_clustering, score_result
 from repro.metrics.pairwise import ClusterScore
-from repro.msgtypes import cluster_message_types
+from repro.net.flows import sessions_from_trace
 from repro.net.trace import Trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -28,14 +28,8 @@ from repro.segmenters import (
     SegmenterResourceError,
     resolve_segmenter,
 )
-from repro.statemachine import (
-    infer_session_machine,
-    infer_state_machine,
-    transition_coverage,
-    type_symbol,
-)
+from repro.statemachine import infer_state_machine, transition_coverage, type_symbol
 from repro.statemachine.stage import label_map
-from repro.net.flows import sessions_from_trace
 
 __all__ = [
     "DEFAULT_SEED",
@@ -281,13 +275,16 @@ def run_cell(
             result = cluster_segments(segments, config)
             score = score_result(result)
             coverage = clustering_coverage(result, trace).ratio
-            types = (
-                cluster_message_types(
-                    segments, len(trace), matrix=result.matrix, trace=trace
-                )
-                if msgtypes
-                else None
+            run = complete_run(
+                result,
+                segments,
+                trace,
+                raw_trace,
+                config or ClusteringConfig(),
+                msgtypes=msgtypes,
+                statemachine=statemachine,
             )
+            types, sm_result = run.msgtypes, run.statemachine
             msgtype_precision = None
             if types is not None:
                 try:
@@ -302,12 +299,8 @@ def run_cell(
                         ],
                         beta=1.0,
                     ).precision
-            sm_result = None
             sm_accept = sm_coverage = None
-            if statemachine and types is not None:
-                sm_result = infer_session_machine(
-                    raw_trace, types, labeled_trace=trace
-                )
+            if sm_result is not None:
                 sm_accept, sm_coverage = _statemachine_metrics(
                     model, raw_trace, trace, types, sm_result
                 )

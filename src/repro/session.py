@@ -71,7 +71,6 @@ from repro.obs.metrics import MetricsRegistry, get_metrics, use_metrics
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.segmenters.base import Segmenter
 from repro.segmenters.registry import resolve_segmenter
-from repro.semantics import deduce_semantics
 
 SESSION_APPENDS_METRIC = "repro_session_appends_total"
 SESSION_RECLUSTERS_METRIC = "repro_session_reclusters_total"
@@ -981,10 +980,7 @@ class AnalysisSession:
         is never rebuilt).  The session stays usable afterwards —
         snapshots are cheap checkpoints, not terminal states.
         """
-        from repro.api import AnalysisRun
-        from repro.msgtypes import cluster_message_types
-        from repro.report import AnalysisReport
-        from repro.statemachine.stage import infer_session_machine
+        from repro.api import complete_run
 
         self._check_open()
         with self._scopes():
@@ -1000,52 +996,31 @@ class AnalysisSession:
                 if self._dirty or self._result is None:
                     self._recluster("snapshot")
                 started = time.perf_counter()
-                result = self._result
                 trace = Trace(
                     messages=list(self._messages), protocol=self.protocol
                 )
                 trace.quarantine = self._merged_quarantine()
-                deduced = (
-                    deduce_semantics(result, trace) if self.semantics else None
+                # The deduplicated trace doubles as the raw trace here.
+                run = complete_run(
+                    self._result,
+                    list(self._segments),
+                    trace,
+                    trace,
+                    self.config,
+                    semantics=self.semantics,
+                    msgtypes=self.msgtypes,
+                    statemachine=self.statemachine,
+                    known_distances=self._message_distances,
                 )
-                types = (
-                    cluster_message_types(
-                        list(self._segments),
-                        len(self._messages),
-                        matrix=result.matrix,
-                        trace=trace,
-                        known_distances=self._message_distances,
-                    )
-                    if self.msgtypes
-                    else None
-                )
-                if types is not None:
-                    self._message_distances = types.distances
-                machine = (
-                    infer_session_machine(trace, types, labeled_trace=trace)
-                    if self.statemachine and types is not None
-                    else None
-                )
-                report = AnalysisReport.build(
-                    result, trace, deduced, msgtypes=types, statemachine=machine
-                )
+                if run.msgtypes is not None:
+                    self._message_distances = run.msgtypes.distances
                 if self._appendable.options.use_cache:
                     self._appendable.persist()
                 span.set(
-                    clusters=result.cluster_count,
+                    clusters=run.result.cluster_count,
                     seconds=round(time.perf_counter() - started, 6),
                 )
-        return AnalysisRun(
-            trace=trace,
-            segments=list(self._segments),
-            result=result,
-            report=report,
-            semantics=deduced,
-            config=self.config,
-            quarantine=trace.quarantine,
-            msgtypes=types,
-            statemachine=machine,
-        )
+        return run
 
     def _merged_quarantine(self) -> QuarantineReport | None:
         """One report over every lenient load this session absorbed."""

@@ -15,17 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.canberra import (
-    equal_length_cross_block,
-    equal_length_cross_block_reference,
-    equal_length_cross_rows,
-)
+from repro.core.canberra import equal_length_cross_block, equal_length_cross_rows
 from repro.core.matrix import (
     AppendableMatrix,
     DissimilarityMatrix,
     MatrixBuildOptions,
 )
 from repro.core.segments import Segment, UniqueSegment
+from tests.core.oracles import equal_length_cross_block_reference
 
 
 def unique(data: bytes) -> UniqueSegment:
@@ -45,9 +42,7 @@ def distinct_segments(datas: list[bytes]) -> list[UniqueSegment]:
 
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
-THREADED = MatrixBuildOptions(
-    workers=4, parallel_threshold=0, parallel_backend="threads", use_cache=False
-)
+THREADED = MatrixBuildOptions(workers=4, parallel_threshold=0, use_cache=False)
 
 datas_strategy = st.lists(
     st.binary(min_size=2, max_size=12), min_size=2, max_size=24, unique=True

@@ -1,8 +1,9 @@
 """CSR-vs-dense neighborhood parity and blockwise-refinement parity.
 
-The memory-bounded backends (CSR epsilon-adjacency, blockwise
-refinement scans, single-pass k-NN extraction) are only admissible
-because they are *bit-identical* to their dense references — same BFS
+The memory-bounded paths (CSR epsilon-adjacency, blockwise refinement
+scans, single-pass k-NN extraction) are only admissible because they
+are *bit-identical* to their dense references — the dense DBSCAN oracle
+lives in ``tests/core/oracles.py`` — same BFS
 enumeration order, same argmin tie-breaking, same order statistics.
 These tests pin that equivalence on random symmetric matrices
 (hypothesis), on real golden-trace dissimilarity matrices, and at both
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dbscan import NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE, dbscan
+from repro.core.dbscan import dbscan
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.refinement import cluster_stats, link_segments
-from repro.core.segments import Segment, unique_segments
+from repro.core.segments import unique_segments
+from tests.core.oracles import dense_dbscan
 
 #: One row per block vs one block for everything.
 BOUNDS = (1, None)
@@ -55,15 +57,9 @@ class TestCsrDenseParity:
     @settings(max_examples=60, deadline=None)
     def test_random_matrices(self, seed, size, epsilon, min_samples):
         m = symmetric_matrix(seed, size)
-        dense = dbscan(m, epsilon, min_samples, neighborhoods=NEIGHBORHOODS_DENSE)
+        dense = dense_dbscan(m, epsilon, min_samples)
         for bound in BOUNDS:
-            csr = dbscan(
-                m,
-                epsilon,
-                min_samples,
-                neighborhoods=NEIGHBORHOODS_CSR,
-                memory_bound_bytes=bound,
-            )
+            csr = dbscan(m, epsilon, min_samples, memory_bound_bytes=bound)
             assert np.array_equal(csr.labels, dense.labels)
 
     @given(seed=st.integers(0, 10_000), size=st.integers(2, 30))
@@ -72,18 +68,9 @@ class TestCsrDenseParity:
         m = symmetric_matrix(seed, size)
         rng = np.random.default_rng(seed + 1)
         weights = rng.integers(1, 6, size).astype(np.float64)
-        dense = dbscan(
-            m, 0.4, 4, weights=weights, neighborhoods=NEIGHBORHOODS_DENSE
-        )
+        dense = dense_dbscan(m, 0.4, 4, weights=weights)
         for bound in BOUNDS:
-            csr = dbscan(
-                m,
-                0.4,
-                4,
-                weights=weights,
-                neighborhoods=NEIGHBORHOODS_CSR,
-                memory_bound_bytes=bound,
-            )
+            csr = dbscan(m, 0.4, 4, weights=weights, memory_bound_bytes=bound)
             assert np.array_equal(csr.labels, dense.labels)
 
     @pytest.mark.parametrize("protocol", ["ntp", "dns"])
@@ -93,25 +80,20 @@ class TestCsrDenseParity:
         values = matrix.values
         # A mid-scale epsilon exercises non-trivial neighborhoods.
         epsilon = float(np.median(matrix.condensed()))
-        dense = dbscan(values, epsilon, 3, neighborhoods=NEIGHBORHOODS_DENSE)
-        csr = dbscan(
-            values,
-            epsilon,
-            3,
-            neighborhoods=NEIGHBORHOODS_CSR,
-            memory_bound_bytes=bound,
-        )
+        dense = dense_dbscan(values, epsilon, 3)
+        csr = dbscan(values, epsilon, 3, memory_bound_bytes=bound)
         assert np.array_equal(csr.labels, dense.labels)
         assert dense.cluster_count > 0
 
     def test_empty_matrix_both_backends(self):
-        for mode in (NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE):
-            result = dbscan(np.zeros((0, 0)), 0.5, 2, neighborhoods=mode)
+        for run in (dbscan, dense_dbscan):
+            result = run(np.zeros((0, 0)), 0.5, 2)
             assert result.cluster_count == 0
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="neighborhood mode"):
-            dbscan(np.zeros((2, 2)), 0.5, 2, neighborhoods="sparse")
+        # The neighborhood mode is retired: passing one fails loudly.
+        with pytest.raises(TypeError):
+            dbscan(np.zeros((2, 2)), 0.5, 2, neighborhoods="dense")
 
 
 class TestBlockwiseRefinementParity:

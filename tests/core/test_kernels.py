@@ -2,9 +2,10 @@
 
 The vectorized length-binned kernel (byte-term LUT gather, triangle
 mirroring, all-offsets sliding minimum) is a pure optimization: on every
-input it must agree with the per-pair reference oracle — one
-``canberra_distance`` / ``canberra_dissimilarity`` call per pair —
-within 1e-12 absolute (in practice bit-identically).  Violations here
+input it must agree with the per-pair reference oracles of
+``tests/core/oracles.py`` — one ``canberra_distance`` /
+``canberra_dissimilarity`` call per pair — within 1e-12 absolute (in
+practice bit-identically).  Violations here
 mean the kernel rewrite changed the numerics and every downstream stage
 (autoconf, DBSCAN, refinement) silently drifts.
 """
@@ -18,12 +19,15 @@ from repro.core.canberra import (
     byte_term_lut,
     canberra_dissimilarity,
     cross_length_block,
-    cross_length_block_reference,
     pairwise_equal_length,
-    pairwise_equal_length_reference,
 )
-from repro.core.matrix import KERNELS, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, unique_segments
+from tests.core.oracles import (
+    cross_length_block_reference,
+    pairwise_equal_length_reference,
+    reference_matrix,
+)
 
 PARITY_ATOL = 1e-12
 
@@ -35,11 +39,14 @@ def as_unique_segments(datas):
     )
 
 
-def build(datas, kernel, workers=1, **kwargs):
-    options = MatrixBuildOptions(
-        workers=workers, use_cache=False, kernel=kernel, **kwargs
-    )
+def build(datas, workers=1, **kwargs):
+    options = MatrixBuildOptions(workers=workers, use_cache=False, **kwargs)
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
+
+
+def oracle(datas):
+    """The per-pair reference matrix over the same unique segments."""
+    return reference_matrix(as_unique_segments(datas))
 
 
 def uint8_block(rng, count, length):
@@ -147,18 +154,16 @@ class TestKernelPropertyParity:
     @settings(max_examples=60, deadline=None)
     @given(datas=ragged_segment_sets)
     def test_binned_equals_pairwise_on_ragged_sets(self, datas):
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        binned = build(datas)
+        assert np.abs(binned.values - oracle(datas)).max() <= PARITY_ATOL
 
     @settings(max_examples=30, deadline=None)
     @given(
         datas=st.lists(st.binary(min_size=6, max_size=6), min_size=2, max_size=12, unique=True)
     )
     def test_all_equal_lengths(self, datas):
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        binned = build(datas)
+        assert np.abs(binned.values - oracle(datas)).max() <= PARITY_ATOL
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -168,22 +173,21 @@ class TestKernelPropertyParity:
             bytes(rng.integers(0, 256, length).tolist())
             for length in rng.permutation(np.arange(1, 11))
         ]
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        binned = build(datas)
+        assert np.abs(binned.values - oracle(datas)).max() <= PARITY_ATOL
 
     def test_empty_segment_against_nonempty(self):
         # The empty segment overlaps nothing: d = 1 against any other,
         # as canberra_dissimilarity and the pairwise oracle define it.
-        for kernel in KERNELS:
-            values = build([b"", b"ab", b"\x01"], kernel).values
+        datas = [b"", b"ab", b"\x01"]
+        for values in (build(datas).values, oracle(datas)):
             assert not np.isnan(values).any()
             assert np.array_equal(values[0], [0.0, 1.0, 1.0])
             assert np.array_equal(values[:, 0], [0.0, 1.0, 1.0])
 
     def test_duplicate_values_collapse_identically(self):
-        # Duplicate occurrences collapse to one unique segment; both
-        # kernels must see the identical deduplicated set.
+        # Duplicate occurrences collapse to one unique segment; the
+        # kernel and the oracle must see the identical deduplicated set.
         datas = [b"\x01\x02\x03", b"\x01\x02\x03", b"\xff\x00", b"\xff\x00", b"\x04"]
         segments = [
             Segment(message_index=i, offset=0, data=d) for i, d in enumerate(datas)
@@ -193,18 +197,14 @@ class TestKernelPropertyParity:
         binned = DissimilarityMatrix.build(
             unique, options=MatrixBuildOptions(workers=1, use_cache=False)
         )
-        pairwise = DissimilarityMatrix.build(
-            unique,
-            options=MatrixBuildOptions(workers=1, use_cache=False, kernel="pairwise"),
-        )
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        assert np.abs(binned.values - reference_matrix(unique)).max() <= PARITY_ATOL
 
     @settings(max_examples=40, deadline=None)
     @given(datas=ragged_segment_sets)
     def test_matrix_matches_per_pair_definition(self, datas):
         """The built matrix equals the documented per-pair function."""
         segments = as_unique_segments(datas)
-        matrix = build([s.data for s in segments], "binned")
+        matrix = build([s.data for s in segments])
         for i, a in enumerate(segments):
             for j, b in enumerate(segments):
                 assert matrix.values[i, j] == pytest.approx(
@@ -222,36 +222,28 @@ def make_ragged_datas(count, seed=17, max_length=12):
 
 
 class TestBuildPathParity:
-    """binned == pairwise through the full ``DissimilarityMatrix.build``."""
+    """binned == pairwise oracle through the full ``DissimilarityMatrix.build``."""
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_build_parity_across_worker_counts(self, workers):
         datas = make_ragged_datas(90)
-        results = {}
-        for kernel in KERNELS:
-            matrix = build(datas, kernel, workers=workers, parallel_threshold=0)
-            assert matrix.stats.kernel == kernel
-            results[kernel] = matrix.values
-        assert np.abs(results["binned"] - results["pairwise"]).max() <= PARITY_ATOL
+        matrix = build(datas, workers=workers, parallel_threshold=0)
+        assert np.abs(matrix.values - oracle(datas)).max() <= PARITY_ATOL
 
     def test_parallel_binned_matches_serial_pairwise(self):
         datas = make_ragged_datas(120, seed=23)
-        serial_oracle = build(datas, "pairwise", workers=1)
-        parallel_binned = build(datas, "binned", workers=2, parallel_threshold=0)
-        assert (
-            np.abs(serial_oracle.values - parallel_binned.values).max() <= PARITY_ATOL
-        )
+        parallel_binned = build(datas, workers=2, parallel_threshold=0)
+        assert parallel_binned.stats.backend == "parallel"
+        assert np.abs(oracle(datas) - parallel_binned.values).max() <= PARITY_ATOL
 
     def test_stats_record_kernel_and_vectorized_pairs(self):
+        # Every unique pair goes through the vectorized kernel.
         datas = make_ragged_datas(40, seed=29)
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
+        binned = build(datas)
         count = len(datas)
         assert binned.stats.pairs_vectorized == count * (count - 1) // 2
-        assert pairwise.stats.pairs_vectorized == 0
-        assert binned.stats.kernel == "binned"
-        assert pairwise.stats.kernel == "pairwise"
 
     def test_unknown_kernel_is_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixBuildOptions(kernel="simd")
+        # The kernel option is retired: passing one fails loudly.
+        with pytest.raises(TypeError):
+            MatrixBuildOptions(kernel="pairwise")

@@ -9,12 +9,7 @@ length block, permuted segment order).
 import numpy as np
 import pytest
 
-from repro.core.matrix import (
-    DissimilarityMatrix,
-    MatrixBuildOptions,
-    get_default_build_options,
-    set_default_build_options,
-)
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import (
     cache_counters,
     default_cache_dir,
@@ -69,7 +64,7 @@ class TestParallelParity:
         parallel = DissimilarityMatrix.build(
             segments, options=MatrixBuildOptions(workers=2, parallel_threshold=0)
         )
-        # One length → one work item → the parallel dispatch short-circuits.
+        # One length → one work item, still split into tiles.
         assert parallel.stats.task_count == 1
         assert np.array_equal(serial.values, parallel.values)
 
@@ -152,16 +147,6 @@ class TestCacheRoundTrip:
 
 
 class TestDefaultOptions:
-    def test_set_and_restore(self):
-        original = get_default_build_options()
-        replaced = MatrixBuildOptions(workers=3, parallel_threshold=7)
-        try:
-            previous = set_default_build_options(replaced)
-            assert previous is original
-            assert get_default_build_options() is replaced
-        finally:
-            set_default_build_options(original)
-
     def test_build_stats_populated(self):
         segments = make_segments(35)
         matrix = DissimilarityMatrix.build(segments, options=SERIAL)

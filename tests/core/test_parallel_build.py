@@ -14,7 +14,8 @@ here pin that contract:
   tiles and the cross-tile mirror writes are exercised;
 - the grouped cross-length kernel (one task per short length, windows
   deduplicated up to 8 bytes): serial, threaded and 3-chunk appended
-  builds and the pairwise oracle agree byte for byte;
+  builds and the per-pair oracle of ``tests/core/oracles.py`` agree
+  byte for byte;
 - the workers convention shared by the library and both CLIs
   (``None`` ⇒ all cores, ``0`` ⇒ serial, ``N >= 1`` ⇒ exactly N,
   negative ⇒ rejected);
@@ -34,15 +35,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cliopts import backend_parent, matrix_options_from_args
+from repro.cliopts import backend_parent
 from repro.core import matrix as matrix_mod
 from repro.core.matrix import (
     DTYPE_FLOAT32,
     DTYPE_FLOAT64,
-    KERNEL_PAIRWISE,
-    PARALLEL_AUTO,
-    PARALLEL_PROCESSES,
-    PARALLEL_THREADS,
     STORAGE_MEMMAP,
     STORAGE_RAM,
     AppendableMatrix,
@@ -53,6 +50,7 @@ from repro.core.pipeline import ClusteringConfig
 from repro.core.segments import Segment, unique_segments
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import Tracer, use_tracer
+from tests.core.oracles import reference_matrix
 
 
 def as_unique_segments(datas):
@@ -73,11 +71,7 @@ def serial_build(datas, **kwargs):
 
 def threaded_build(datas, workers, **kwargs):
     options = MatrixBuildOptions(
-        workers=workers,
-        use_cache=False,
-        parallel_threshold=0,
-        parallel_backend=PARALLEL_THREADS,
-        **kwargs,
+        workers=workers, use_cache=False, parallel_threshold=0, **kwargs
     )
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
 
@@ -127,7 +121,6 @@ class TestThreadedParity:
         reference = serial_build(datas, dtype=dtype)
         built = threaded_build(datas, workers, dtype=dtype, storage=storage)
         assert built.stats.backend == "parallel"
-        assert built.stats.parallel_backend == PARALLEL_THREADS
         assert built.stats.workers == workers
         assert np.asarray(built.values).tobytes() == reference.values.tobytes()
 
@@ -163,6 +156,7 @@ class TestThreadedParity:
         assert fingerprints == {reference.values.tobytes()}
 
     def test_auto_backend_resolves_to_threads_for_binned(self):
+        # Default options with more than one worker run the tile queue.
         datas = make_ragged_datas(count=40, seed=37)
         built = DissimilarityMatrix.build(
             as_unique_segments(datas),
@@ -171,23 +165,7 @@ class TestThreadedParity:
             ),
         )
         assert built.stats.backend == "parallel"
-        assert built.stats.parallel_backend == PARALLEL_THREADS
-
-    def test_processes_backend_still_available_and_identical(self):
-        datas = make_ragged_datas(count=40, seed=41)
-        reference = serial_build(datas)
-        built = DissimilarityMatrix.build(
-            as_unique_segments(datas),
-            options=MatrixBuildOptions(
-                workers=2,
-                use_cache=False,
-                parallel_threshold=0,
-                parallel_backend=PARALLEL_PROCESSES,
-            ),
-        )
-        if built.stats.backend == "parallel":  # pool may be unavailable
-            assert built.stats.parallel_backend == PARALLEL_PROCESSES
-        assert built.values.tobytes() == reference.values.tobytes()
+        assert built.stats.tile_count > 0
 
 
 class TestGroupedCrossKernel:
@@ -213,7 +191,7 @@ class TestGroupedCrossKernel:
         reference = serial_build(datas).values.tobytes()
         # The per-pair oracle slides each pair on its own; on these
         # inputs it agrees to the bit.
-        assert serial_build(datas, kernel=KERNEL_PAIRWISE).values.tobytes() == reference
+        assert reference_matrix(as_unique_segments(datas)).tobytes() == reference
         tracer = Tracer()
         with use_tracer(tracer):
             for workers in (2, 4):
@@ -235,10 +213,7 @@ class TestGroupedCrossKernel:
         grown = AppendableMatrix(
             segments[:60],
             options=MatrixBuildOptions(
-                workers=2,
-                use_cache=False,
-                parallel_threshold=0,
-                parallel_backend=PARALLEL_THREADS,
+                workers=2, use_cache=False, parallel_threshold=0
             ),
         )
         grown.append(segments[60:110])
@@ -270,28 +245,8 @@ class TestWorkersConvention:
             ),
         )
         assert built.stats.backend == "serial"
-        assert built.stats.parallel_backend is None
-
-    def test_threads_plus_pairwise_rejected(self):
-        with pytest.raises(ValueError, match="binned kernel"):
-            MatrixBuildOptions(
-                kernel=KERNEL_PAIRWISE, parallel_backend=PARALLEL_THREADS
-            )
-
-    def test_auto_resolution_by_kernel(self):
-        assert (
-            MatrixBuildOptions().resolved_parallel_backend() == PARALLEL_THREADS
-        )
-        assert (
-            MatrixBuildOptions(kernel=KERNEL_PAIRWISE).resolved_parallel_backend()
-            == PARALLEL_PROCESSES
-        )
-        assert (
-            MatrixBuildOptions(
-                parallel_backend=PARALLEL_PROCESSES
-            ).resolved_parallel_backend()
-            == PARALLEL_PROCESSES
-        )
+        assert built.stats.workers == 1
+        assert built.stats.tile_count == 0
 
     def _parse(self, *argv):
         parser = argparse.ArgumentParser(parents=[backend_parent()])
@@ -299,25 +254,15 @@ class TestWorkersConvention:
 
     def test_cli_workers_zero_means_serial(self):
         args = self._parse("--workers", "0")
-        options = matrix_options_from_args(args)
-        assert options.workers == 0
-        assert options.effective_workers() == 1
         config = ClusteringConfig.from_args(args)
         assert config.matrix_options.workers == 0
         assert config.matrix_options.effective_workers() == 1
 
     def test_cli_workers_default_means_all_cores(self):
         args = self._parse()
-        options = matrix_options_from_args(args)
+        options = ClusteringConfig.from_args(args).matrix_options
         assert options.workers is None
         assert options.effective_workers() == (os.cpu_count() or 1)
-        assert options.parallel_backend == PARALLEL_AUTO
-
-    def test_cli_parallel_backend_flag(self):
-        args = self._parse("--parallel-backend", "processes")
-        assert matrix_options_from_args(args).parallel_backend == PARALLEL_PROCESSES
-        config = ClusteringConfig.from_args(args)
-        assert config.matrix_options.parallel_backend == PARALLEL_PROCESSES
 
 
 class TestThreadedObservability:
@@ -350,7 +295,6 @@ class TestThreadedObservability:
         builds = tracer.find("matrix.build")
         assert len(builds) == 1
         attributes = builds[0].attributes
-        assert attributes["parallel_backend"] == PARALLEL_THREADS
         assert attributes["tiles"] == built.stats.tile_count
         assert attributes["backend"] == "parallel"
 

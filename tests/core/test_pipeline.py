@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from repro.core.ecdf import Ecdf
 from repro.core.pipeline import ClusteringConfig, FieldTypeClusterer
 from repro.core.segments import Segment, segments_from_fields
 from repro.metrics import score_result
+from repro.obs.tracer import Tracer, use_tracer
 from repro.protocols import get_model
 
 
@@ -110,6 +113,39 @@ class TestFieldTypeClusterer:
         r2 = FieldTypeClusterer().cluster(synthetic_two_type_segments(rng2))
         assert r1.epsilon == r2.epsilon
         assert [c.tolist() for c in r1.clusters] == [c.tolist() for c in r2.clusters]
+
+
+    def test_cluster_matrix_runs_the_same_stages(self):
+        rng = np.random.default_rng(10)
+        batch_tracer, matrix_tracer = Tracer(), Tracer()
+        with use_tracer(batch_tracer):
+            batch = FieldTypeClusterer().cluster(synthetic_two_type_segments(rng))
+        with use_tracer(matrix_tracer):
+            again = FieldTypeClusterer().cluster_matrix(batch.matrix, batch.excluded)
+        assert again.epsilon == batch.epsilon
+        assert np.array_equal(again.labels(), batch.labels())
+        assert again.excluded == batch.excluded
+        assert again.timings["matrix"] == 0.0 < batch.timings["matrix"]
+
+        def stages(tracer):
+            (root,) = tracer.roots
+            return root.name, [child.name for child in root.children]
+
+        assert stages(batch_tracer) == (
+            "pipeline", ["matrix", "autoconf", "dbscan", "refine"]
+        )
+        assert stages(matrix_tracer) == ("pipeline", ["autoconf", "dbscan", "refine"])
+
+    def test_neighborhoods_field_is_deprecated_and_ignored(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ClusteringConfig(neighborhoods="csr")
+        with pytest.warns(DeprecationWarning, match="neighborhoods"):
+            dense = ClusteringConfig(neighborhoods="dense")
+        segments = synthetic_two_type_segments(np.random.default_rng(11))
+        expected = FieldTypeClusterer().cluster(segments)
+        result = FieldTypeClusterer(dense).cluster(segments)
+        assert np.array_equal(result.labels(), expected.labels())
 
 
 class TestPipelineOnProtocols:

@@ -1,64 +1,20 @@
-"""Fault injection, compute: the matrix build survives dying workers.
+"""Fault injection, compute: a poisoned matrix cache is never trusted.
 
-Acceptance path: a matrix build whose pool workers crash, hang, or
-return a bit-flipped cache entry still returns values bit-identical to
-the serial reference.
-
-The injected faults are module-level worker functions monkeypatched
-over :func:`repro.core.matrix._compute_block_task`; the pool uses the
-``fork`` start method on Linux, so the patched function propagates into
-the children.  Environment variables carry the sentinel path and the
-parent pid into the workers (fork copies ``os.environ``).
+Acceptance path: a bit-flipped, replaced or truncated cache entry is
+detected on load, deleted, and the matrix recomputed bit-identical to
+the serial reference.  Failing tiles of the threaded build are covered
+by ``test_thread_faults.py``.
 """
-
-import os
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import matrix as matrix_mod
 from repro.core import matrixcache
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import UniqueSegment
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
 pytestmark = pytest.mark.faults
-
-_REAL_COMPUTE = matrix_mod._compute_block_task
-
-SENTINEL_ENV = "REPRO_FAULT_SENTINEL"
-MAIN_PID_ENV = "REPRO_FAULT_MAIN_PID"
-
-
-def _in_worker() -> bool:
-    return os.getpid() != int(os.environ.get(MAIN_PID_ENV, "0"))
-
-
-def _die_once_worker(task):
-    """Crash the first worker that runs a block; behave after that."""
-    sentinel = Path(os.environ[SENTINEL_ENV])
-    if _in_worker() and not sentinel.exists():
-        sentinel.touch()
-        os._exit(1)
-    return _REAL_COMPUTE(task)
-
-
-def _always_die_worker(task):
-    """Crash every pool worker; only the parent process can compute."""
-    if _in_worker():
-        os._exit(1)
-    return _REAL_COMPUTE(task)
-
-
-def _hang_once_worker(task):
-    """The first block hangs well past the block timeout, then recovers."""
-    sentinel = Path(os.environ[SENTINEL_ENV])
-    if _in_worker() and not sentinel.exists():
-        sentinel.touch()
-        time.sleep(3.0)
-    return _REAL_COMPUTE(task)
 
 
 def _segments():
@@ -68,21 +24,8 @@ def _segments():
     return [UniqueSegment(data=d) for d in datas]
 
 
-def _options(tmp_path, **overrides):
-    defaults = dict(
-        workers=2,
-        parallel_threshold=2,
-        block_timeout=None,
-        max_retries=2,
-        use_cache=False,
-        cache_dir=tmp_path / "cache",
-        # These tests exercise the process pool's retry ladder; "auto"
-        # now resolves the binned kernel to the threaded backend, so
-        # pin processes explicitly (thread faults: test_thread_faults).
-        parallel_backend="processes",
-    )
-    defaults.update(overrides)
-    return MatrixBuildOptions(**defaults)
+def _options(tmp_path):
+    return MatrixBuildOptions(workers=1, use_cache=True, cache_dir=tmp_path / "cache")
 
 
 @pytest.fixture
@@ -94,65 +37,6 @@ def serial_reference():
     return built.values
 
 
-@pytest.fixture
-def fault_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(SENTINEL_ENV, str(tmp_path / "fault.sentinel"))
-    monkeypatch.setenv(MAIN_PID_ENV, str(os.getpid()))
-
-
-class TestDyingWorkers:
-    def test_crash_once_recovers_bit_identical(
-        self, tmp_path, monkeypatch, fault_env, serial_reference
-    ):
-        monkeypatch.setattr(matrix_mod, "_compute_block_task", _die_once_worker)
-        built = DissimilarityMatrix.build(_segments(), options=_options(tmp_path))
-        assert built.stats.backend == "parallel"
-        assert np.array_equal(built.values, serial_reference)
-        assert (
-            built.stats.block_retries
-            + built.stats.pool_rebuilds
-            + built.stats.serial_fallback_blocks
-        ) > 0
-
-    def test_always_crashing_pool_falls_back_serially(
-        self, tmp_path, monkeypatch, fault_env, serial_reference
-    ):
-        monkeypatch.setattr(matrix_mod, "_compute_block_task", _always_die_worker)
-        built = DissimilarityMatrix.build(_segments(), options=_options(tmp_path))
-        assert np.array_equal(built.values, serial_reference)
-        assert built.stats.serial_fallback_blocks > 0
-
-    def test_rebuild_budget_zero_goes_straight_to_serial(
-        self, tmp_path, monkeypatch, fault_env, serial_reference
-    ):
-        monkeypatch.setattr(matrix_mod, "_compute_block_task", _always_die_worker)
-        built = DissimilarityMatrix.build(
-            _segments(), options=_options(tmp_path, max_retries=0)
-        )
-        assert np.array_equal(built.values, serial_reference)
-        assert built.stats.pool_rebuilds == 0
-
-    def test_fault_metrics_emitted(self, tmp_path, monkeypatch, fault_env):
-        monkeypatch.setattr(matrix_mod, "_compute_block_task", _always_die_worker)
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            DissimilarityMatrix.build(_segments(), options=_options(tmp_path))
-            counter = registry.counter(matrix_mod.FAULTS_METRIC)
-            assert counter.value(kind="serial_fallback") > 0
-
-
-class TestHungWorkers:
-    def test_block_timeout_abandons_hung_worker(
-        self, tmp_path, monkeypatch, fault_env, serial_reference
-    ):
-        monkeypatch.setattr(matrix_mod, "_compute_block_task", _hang_once_worker)
-        built = DissimilarityMatrix.build(
-            _segments(), options=_options(tmp_path, block_timeout=0.4)
-        )
-        assert np.array_equal(built.values, serial_reference)
-        assert built.stats.block_retries + built.stats.serial_fallback_blocks > 0
-
-
 class TestBitFlippedCache:
     def _cache_entry(self, tmp_path, options):
         built = DissimilarityMatrix.build(_segments(), options=options)
@@ -161,7 +45,7 @@ class TestBitFlippedCache:
         return built, path
 
     def test_bit_flip_detected_and_recomputed(self, tmp_path, serial_reference):
-        options = _options(tmp_path, workers=1, use_cache=True)
+        options = _options(tmp_path)
         _, path = self._cache_entry(tmp_path, options)
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF  # flip a payload bit
@@ -176,7 +60,7 @@ class TestBitFlippedCache:
         assert corrupt == 1
 
     def test_corrupt_entry_is_replaced(self, tmp_path, serial_reference):
-        options = _options(tmp_path, workers=1, use_cache=True)
+        options = _options(tmp_path)
         _, path = self._cache_entry(tmp_path, options)
         path.write_bytes(b"not an npz at all")
         DissimilarityMatrix.build(_segments(), options=options)
@@ -186,32 +70,10 @@ class TestBitFlippedCache:
         assert np.array_equal(again.values, serial_reference)
 
     def test_truncated_entry_detected(self, tmp_path, serial_reference):
-        options = _options(tmp_path, workers=1, use_cache=True)
+        options = _options(tmp_path)
         _, path = self._cache_entry(tmp_path, options)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        rebuilt = DissimilarityMatrix.build(_segments(), options=options)
-        assert not rebuilt.stats.cache_hit
-        assert np.array_equal(rebuilt.values, serial_reference)
-
-
-class TestCombinedFaults:
-    def test_dying_worker_and_poisoned_cache_together(
-        self, tmp_path, monkeypatch, fault_env, serial_reference
-    ):
-        # Seed the cache, poison it, then rebuild with crashing workers:
-        # both degradation paths fire in one build and the result is
-        # still bit-identical to the serial reference.
-        options = _options(tmp_path, use_cache=True)
-        built = DissimilarityMatrix.build(
-            _segments(), options=_options(tmp_path, workers=1, use_cache=True)
-        )
-        path = matrixcache.cache_path(built.stats.cache_key, options.cache_dir)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-
-        monkeypatch.setattr(matrix_mod, "_compute_block_task", _die_once_worker)
         rebuilt = DissimilarityMatrix.build(_segments(), options=options)
         assert not rebuilt.stats.cache_hit
         assert np.array_equal(rebuilt.values, serial_reference)

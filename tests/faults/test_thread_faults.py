@@ -7,9 +7,7 @@ bin.  Threads also cannot be killed: the scheduler must cancel every
 not-yet-started tile, let the in-flight ones finish, and only then
 raise.  These tests pin that contract, and pin the fault accounting:
 a threaded bin failure counts as ``kind="bin_error"`` on
-``repro_matrix_faults_total`` and never leaks into the process pool's
-retry-ladder kinds (``block_retry`` / ``serial_fallback`` /
-``pool_rebuild``).
+``repro_matrix_faults_total``, the only fault kind there is.
 
 Faults are injected by monkeypatching
 :func:`repro.core.matrix._compute_tile_into` — the thread worker's
@@ -42,7 +40,6 @@ def _options(**overrides):
     defaults = dict(
         workers=2,
         parallel_threshold=2,
-        parallel_backend="threads",
         use_cache=False,
     )
     defaults.update(overrides)
@@ -116,11 +113,9 @@ class TestThreadedTileFaults:
                 DissimilarityMatrix.build(_segments(), options=_options())
             counter = registry.counter(matrix_mod.FAULTS_METRIC)
             assert counter.value(kind="bin_error") == 1
-            # The threaded path must not touch the process-pool ladder
-            # counters — no double accounting across backends.
-            assert counter.value(kind="block_retry") == 0
-            assert counter.value(kind="serial_fallback") == 0
-            assert counter.value(kind="pool_rebuild") == 0
+            assert [dict(labels) for labels in counter.label_sets()] == [
+                {"kind": "bin_error"}
+            ]
 
     def test_healthy_rebuild_after_a_failed_build(self, monkeypatch, many_tiles):
         # A failed threaded build leaves no poisoned global state: the

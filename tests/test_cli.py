@@ -3,6 +3,7 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
+from repro.core.membound import rows_per_block
 from repro.eval.__main__ import main as eval_main
 
 
@@ -70,3 +71,36 @@ class TestEvalCli:
         assert eval_main(["fig2", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "knee" in out
+
+    def test_memory_bound_reaches_the_tables(self, tmp_path):
+        # --memory-bound-mb must size every k-NN scan of the sweep, not
+        # only the analyze path's.
+        manifest = tmp_path / "eval.json"
+        argv = ["table1", "--quick", "--no-cache", "--memory-bound-mb", "1"]
+        assert eval_main(argv + ["--trace-out", str(manifest)]) == 0
+        spans, pending = [], json.loads(manifest.read_text())["spans"]
+        while pending:
+            span = pending.pop()
+            spans.append(span)
+            pending.extend(span["children"])
+        knn = [span["attributes"] for span in spans if span["name"] == "matrix.knn"]
+        assert knn
+        for attributes in knn:
+            row_bytes = attributes["rows"] * 8  # float64 matrix rows
+            assert attributes["block_rows"] == rows_per_block(
+                row_bytes, 1024 * 1024, copies=2
+            )
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--kernel", "pairwise"],
+            ["--parallel-backend", "processes"],
+            ["--block-timeout", "1"],
+            ["--max-retries", "1"],
+            ["--neighborhoods", "dense"],
+        ],
+    )
+    def test_retired_backend_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            eval_main(["fig3", *flag])

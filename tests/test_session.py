@@ -230,6 +230,16 @@ class TestCheckpointResume:
         )
         assert base != session_fingerprint(ClusteringConfig(), "nemesys", "q")
 
+    def test_default_fingerprints_are_pinned(self):
+        # Checkpoints written with the default config by earlier releases
+        # must keep replaying: these digests may only change on purpose.
+        assert session_fingerprint(ClusteringConfig(), "nemesys", "unknown") == (
+            "9e9c89c4d8eecdf04706f49a773d1e531988e340288ae88509ad6f2086d688ce"
+        )
+        assert session_fingerprint(ClusteringConfig(), "nemesys", "dns") == (
+            "1991c653086dd9f1b186f6c08e7b548ce2412ba8b2515dbf8e914b9f0ccef320"
+        )
+
     def test_checkpoint_roundtrips_message_context(self, tmp_path):
         checkpoint = SessionCheckpoint(tmp_path / "c.jsonl", "f")
         message = TraceMessage(
