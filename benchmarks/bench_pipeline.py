@@ -36,7 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.core.autoconf import configure  # noqa: E402
 from repro.core.dbscan import dbscan  # noqa: E402
@@ -44,6 +46,7 @@ from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions  # noqa: E
 from repro.core.membound import DEFAULT_MEMORY_BOUND_BYTES  # noqa: E402
 from repro.core.refinement import refine  # noqa: E402
 from repro.core.segments import Segment, unique_segments  # noqa: E402
+from tests.core.oracles import knn_distances  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_pipeline.json"
 SCHEMA = "repro.bench-pipeline/v1"
@@ -136,7 +139,7 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
     # --- autoconf: legacy per-k full sorts vs one partition pass -------
     if count <= MAX_LEGACY_SIZE:
         _, legacy_seconds = timed(
-            lambda: [matrix.knn_distances(k) for k in range(2, k_hi + 1)]
+            lambda: [knn_distances(matrix, k) for k in range(2, k_hi + 1)]
         )
         record["seconds"]["knn_legacy"] = round(legacy_seconds, 4)
     matrix._knn_columns = None

@@ -21,7 +21,7 @@ def pytest_addoption(parser):
         "--matrix-workers",
         type=int,
         default=None,
-        help="dissimilarity-matrix worker processes (default: all CPU cores)",
+        help="dissimilarity-matrix worker threads (default: the usable cores)",
     )
     group.addoption(
         "--matrix-cache",

@@ -31,7 +31,7 @@ names.
 Execution knobs (worker count, dtype, storage, cache) ride along on
 :attr:`~repro.core.pipeline.ClusteringConfig.matrix_options` — the same
 :class:`~repro.core.matrix.MatrixBuildOptions` the CLIs fill from
-``--workers`` (``0`` = serial, unset = all cores; parallel builds share
+``--workers`` (``0`` = serial, unset = the usable cores; parallel builds share
 blocks and the output matrix zero-copy across a thread pool).
 
 Example::

@@ -8,7 +8,7 @@ config is :meth:`repro.core.pipeline.ClusteringConfig.from_args`.
 
 - ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--matrix-dtype``
   / ``--matrix-memmap`` — the matrix execution backend (worker count:
-  ``0`` = serial, ``N`` = exactly N threads, unset = all cores); see
+  ``0`` = serial, ``N`` = exactly N threads, unset = the usable cores); see
   :class:`repro.core.matrix.MatrixBuildOptions`;
 - ``--memory-bound-mb`` — the working-set budget of the post-matrix
   blockwise scans;
@@ -135,7 +135,8 @@ def backend_parent() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="dissimilarity-matrix worker threads: 0 forces the serial "
-        "path, N>=1 uses exactly N workers (default: all CPU cores)",
+        "path, N>=1 uses exactly N workers (default: the usable cores, "
+        "i.e. the CPUs this process may run on)",
     )
     backend.add_argument(
         "--no-cache",

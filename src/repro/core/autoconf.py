@@ -95,8 +95,8 @@ def configure(
     # One partition pass yields every k-th-NN column at once (and the
     # matrix caches it, so the Section III-E retrims that re-enter here
     # with a trim_at reuse the columns instead of re-scanning O(n²)
-    # values per k).  Column k-1 is bit-identical to the per-k
-    # full-sort reference ``matrix.knn_distances(k)``.
+    # values per k).  Column k-1 is bit-identical to a per-k full
+    # sort of the rows.
     knn_columns = matrix.knn_distances_all(k_hi, memory_bound_bytes)
     best: tuple[float, int, Ecdf, np.ndarray, np.ndarray] | None = None
     for k in range(2, k_hi + 1):

@@ -18,21 +18,20 @@ Two layers:
   monotone in the overlap quality, and monotone in the length mismatch
   (see DESIGN.md for the rationale where the paper under-specifies).
 
-On top of the per-pair functions sit the **batch kernels** the matrix
-builder uses (:func:`pairwise_equal_length`, :func:`cross_length_rows`
-and their row-tile entry points), which compute whole blocks at once.
-Because byte values live in ``[0, 255]``, every Canberra term is one of
-256×256 possible values; uint8 blocks are resolved through a
-precomputed 512 KB lookup table (:func:`byte_term_lut`), replacing the
-abs/add/divide/where chain by a single gather.  Equal-length bins
-compute only the upper triangle and mirror it (the terms are exactly
-symmetric).  The cross-length kernel compares a short block with a
-whole group of longer blocks: their m-byte windows are collected once
-(:func:`sliding_windows`), deduplicated when m ≤
-:data:`WINDOW_KEY_BYTES`, scored, and reduced to each longer segment's
-sliding minimum.  Work is tiled to a fixed temporary budget so peak
-memory stays bounded.  The tests pin these kernels against per-pair
-oracles built on the two functions above.
+On top of the per-pair functions sit the three **row kernels** the
+matrix builder's tiles run (:func:`pairwise_equal_length_rows`,
+:func:`equal_length_cross_rows` and :func:`cross_length_rows`), each
+computing a range of rows of one uint8 block at once.  Because byte
+values live in ``[0, 255]``, every Canberra term is one of 256×256
+possible values; the kernels resolve them through a precomputed 512 KB
+lookup table (:func:`byte_term_lut`), replacing the
+abs/add/divide/where chain by a single gather.  The cross-length kernel
+compares a short block with a whole group of longer blocks: their
+m-byte windows are collected once (:func:`sliding_windows`),
+deduplicated when m ≤ :data:`WINDOW_KEY_BYTES`, scored, and reduced to
+each longer segment's sliding minimum.  Work is chunked to a fixed
+temporary budget so peak memory stays bounded.  The tests pin these
+kernels against per-pair oracles built on the two functions above.
 """
 
 from __future__ import annotations
@@ -108,24 +107,26 @@ def _as_vector(data) -> np.ndarray:
 
 
 #: Cap on temporary broadcast cells (float64) per chunk: ~160 MB.  Also
-#: the tile-size target of the threaded matrix scheduler — one work item
-#: covers about one chunk's worth of gather cells, so tile boundaries
-#: are deterministic (worker-count independent) and per-tile temporaries
-#: stay inside the same budget the serial kernel always used.
+#: the tile-size target of the matrix scheduler — one work item covers
+#: about one chunk's worth of gather cells, so tile boundaries are
+#: deterministic (worker-count independent) and per-tile temporaries
+#: stay inside this budget.
 CHUNK_CELL_BUDGET = 20_000_000
-
-#: Private runtime knob (and the pre-threading name): the chunked
-#: kernels read this one when no explicit ``cells_budget`` is passed, so
-#: tests can monkeypatch it to force tiny chunks without touching the
-#: public constant the scheduler derives its tile sizes from.
-_CHUNK_CELL_BUDGET = CHUNK_CELL_BUDGET
 
 _BYTE_TERM_LUT: np.ndarray | None = None
 
 
 def _chunk_rows_for(cells_per_row: int, cells_budget: int | None = None) -> int:
-    budget = _CHUNK_CELL_BUDGET if cells_budget is None else cells_budget
+    budget = CHUNK_CELL_BUDGET if cells_budget is None else cells_budget
     return max(1, budget // max(1, cells_per_row))
+
+
+def _uint8_block(block) -> np.ndarray:
+    """*block* as an array, which the LUT kernels need to be uint8."""
+    block = np.asarray(block)
+    if block.dtype != np.uint8:
+        raise TypeError(f"kernel blocks must be uint8, got {block.dtype}")
+    return block
 
 
 def byte_term_lut() -> np.ndarray:
@@ -143,121 +144,43 @@ def byte_term_lut() -> np.ndarray:
     return _BYTE_TERM_LUT
 
 
-def _terms_mean_float(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Broadcast ``canberra_terms(left, right).mean(axis=-1)`` for floats."""
-    denominator = np.abs(left) + np.abs(right)
-    numerator = np.abs(left - right)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(denominator > 0, numerator / denominator, 0.0)
-    return terms.mean(axis=-1)
-
-
-def pairwise_equal_length(block: np.ndarray) -> np.ndarray:
-    """Pairwise normalized Canberra distances within one equal-length block.
-
-    *block* has shape (count, length).  Returns a symmetric (count, count)
-    matrix.  Work is chunked to bound peak memory.  uint8 blocks take the
-    fast path: terms are gathered from :func:`byte_term_lut` and only the
-    upper triangle is computed (``|x−y|/(x+y)`` is exactly symmetric, so
-    mirroring is bit-identical to computing both halves).
-    """
-    block = np.asarray(block)
-    binned = block.dtype == np.uint8
-    if not binned:
-        block = np.asarray(block, dtype=np.float64)
-    count, length = block.shape
-    result = np.zeros((count, count), dtype=np.float64)
-    if length == 0 or count < 2:
-        return result
-    chunk_rows = _chunk_rows_for(count * length)
-    if binned:
-        lut = byte_term_lut()
-        for start in range(0, count, chunk_rows):
-            stop = min(start + chunk_rows, count)
-            # Gather terms for rows [start:stop) against columns
-            # [start:) only — everything left of the diagonal band is
-            # recovered by mirroring below.
-            terms = lut[block[start:stop, np.newaxis, :], block[np.newaxis, start:, :]]
-            result[start:stop, start:] = terms.mean(axis=2)
-        lower = np.tril_indices(count, k=-1)
-        result[lower] = result.T[lower]
-        return result
-    for start in range(0, count, chunk_rows):
-        stop = min(start + chunk_rows, count)
-        left = block[start:stop, np.newaxis, :]  # (c, 1, m)
-        right = block[np.newaxis, :, :]  # (1, count, m)
-        result[start:stop, :] = _terms_mean_float(left, right)
-    return result
-
-
-def cross_length_block(
-    short_block: np.ndarray,
-    long_block: np.ndarray,
-    penalty_factor: float = DEFAULT_PENALTY_FACTOR,
-) -> np.ndarray:
-    """Pairwise dissimilarities between a length-m block and a length-n block.
-
-    *short_block* is (a, m), *long_block* is (b, n) with m < n.  Returns
-    an (a, b) matrix of length-tolerant Canberra dissimilarities — the
-    one-long-block call of :func:`cross_length_rows`, which the matrix
-    builder runs against every longer block of a short length at once.
-    """
-    short_block = np.asarray(short_block)
-    windows = sliding_windows([long_block], short_block.shape[1])
-    return cross_length_rows(short_block, windows, 0, short_block.shape[0], penalty_factor)
-
-
 def pairwise_equal_length_rows(
     block: np.ndarray,
     row_start: int,
     row_stop: int,
     *,
-    out: np.ndarray | None = None,
     cells_budget: int | None = None,
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of one equal-length bin, upper band.
 
-    Tile-level entry point for the threaded matrix scheduler: returns
-    (or fills *out* with) a ``(row_stop - row_start, count - row_start)``
-    float64 array whose cell ``(i - row_start, j - row_start)`` is the
-    dissimilarity of segments *i* and *j* for ``j >= row_start`` — the
-    same upper-band cells :func:`pairwise_equal_length` computes before
-    mirroring.  Every cell is the mean of the same gathered terms no
-    matter how rows are tiled or chunked, so tiled builds stay
-    bit-identical to the whole-bin kernel.  *cells_budget* caps the
-    per-chunk temporary (default: the whole :data:`CHUNK_CELL_BUDGET`);
-    the threaded scheduler divides it across workers so aggregate peak
-    memory is worker-count independent.
+    The matrix scheduler's equal-length tile: returns a
+    ``(row_stop - row_start, count - row_start)`` float64 array whose
+    cell ``(i - row_start, j - row_start)`` is the dissimilarity of
+    segments *i* and *j* for ``j >= row_start``; rows ``[0, count)``
+    give the whole symmetric square.  Every cell is the mean of the
+    same gathered terms no matter how rows are tiled or chunked, so
+    tiled builds stay bit-identical to one whole-bin tile.
+    *cells_budget* caps the per-chunk temporary (default: the whole
+    :data:`CHUNK_CELL_BUDGET`); the threaded scheduler divides it across
+    workers so aggregate peak memory is worker-count independent.
     """
-    block = np.asarray(block)
-    binned = block.dtype == np.uint8
-    if not binned:
-        block = np.asarray(block, dtype=np.float64)
+    block = _uint8_block(block)
     count, length = block.shape
     if not 0 <= row_start <= row_stop <= count:
         raise ValueError(
             f"tile rows [{row_start}, {row_stop}) outside block of {count} rows"
         )
-    rows = row_stop - row_start
-    columns = count - row_start
-    if out is None:
-        out = np.empty((rows, columns), dtype=np.float64)
-    elif out.shape != (rows, columns):
-        raise ValueError(f"out shape {out.shape} != {(rows, columns)}")
+    out = np.zeros((row_stop - row_start, count - row_start), dtype=np.float64)
     if length == 0:
-        out[...] = 0.0
         return out
-    chunk_rows = _chunk_rows_for(columns * length, cells_budget)
-    lut = byte_term_lut() if binned else None
+    chunk_rows = _chunk_rows_for((count - row_start) * length, cells_budget)
+    lut = byte_term_lut()
+    right = block[np.newaxis, row_start:, :]
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        left = block[start:stop, np.newaxis, :]
-        right = block[np.newaxis, row_start:, :]
-        if binned:
-            means = lut[left, right].mean(axis=2)
-        else:
-            means = _terms_mean_float(left, right)
-        out[start - row_start : stop - row_start] = means
+        out[start - row_start : stop - row_start] = lut[
+            block[start:stop, np.newaxis, :], right
+        ].mean(axis=2)
     return out
 
 
@@ -273,8 +196,8 @@ class SlidingWindows:
     """The m-byte windows of a group of longer blocks.
 
     Windows are numbered block by block, row by row, offset by offset,
-    so each longer segment owns one contiguous run of them.  uint8
-    windows of at most :data:`WINDOW_KEY_BYTES` bytes are deduplicated:
+    so each longer segment owns one contiguous run of them.  Windows of
+    at most :data:`WINDOW_KEY_BYTES` bytes are deduplicated:
     *unique* holds the distinct windows and *inverse* maps every window
     to its row there.  Otherwise both are None and the kernel slides
     over the blocks directly.
@@ -302,21 +225,17 @@ class SlidingWindows:
 def sliding_windows(long_blocks, length: int) -> SlidingWindows:
     """Collect the *length*-byte windows of *long_blocks*, deduplicated if they fit a key.
 
-    Every block is ``(count, n)`` with ``n > length``.  The windows are
+    Every block is ``(count, n)`` uint8 with ``n > length``.  The windows are
     packed into big-endian ``uint64`` keys and deduplicated with one
     ``np.unique``; decoding the distinct keys gives back their exact
     bytes, so scoring a distinct window is the same gather as scoring
     any of its copies.
     """
-    blocks = tuple(np.asarray(block) for block in long_blocks)
+    blocks = tuple(_uint8_block(block) for block in long_blocks)
     for block in blocks:
         if length >= block.shape[1]:
             raise ValueError(f"short block must be shorter: {length} >= {block.shape[1]}")
-    if (
-        not blocks
-        or not 0 < length <= WINDOW_KEY_BYTES
-        or any(block.dtype != np.uint8 for block in blocks)
-    ):
+    if not blocks or not 0 < length <= WINDOW_KEY_BYTES:
         return SlidingWindows(length, blocks)
     keys = np.concatenate([_window_keys(block, length).ravel() for block in blocks])
     unique_keys, inverse = np.unique(keys, return_inverse=True)
@@ -348,15 +267,14 @@ def cross_length_rows(
     row_stop: int,
     penalty_factor: float = DEFAULT_PENALTY_FACTOR,
     *,
-    out: np.ndarray | None = None,
     cells_budget: int | None = None,
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of a short block against a window group.
 
     The cross-length kernel: *short_block* is ``(a, m)`` and *windows*
     holds the m-byte windows of every longer block it is compared to.
-    Returns (or fills *out* with) the ``(row_stop - row_start, b)``
-    dissimilarities, ``b`` the longer segments in block order.
+    Returns the ``(row_stop - row_start, b)`` dissimilarities, ``b`` the
+    longer segments in block order.
 
     Deduplicated windows are scored once with
     :func:`equal_length_cross_rows`, and each longer segment takes the
@@ -367,7 +285,7 @@ def cross_length_rows(
     per-block sliding minimum.  *cells_budget* bounds every per-chunk
     temporary: the LUT gather, the window means and the minimum gather.
     """
-    short_block = np.asarray(short_block)
+    short_block = _uint8_block(short_block)
     m = windows.length
     count, length = short_block.shape
     if length != m:
@@ -378,22 +296,12 @@ def cross_length_rows(
         )
     long_blocks = windows.long_blocks
     shape = (row_stop - row_start, sum(block.shape[0] for block in long_blocks))
-    if out is None:
-        out = np.empty(shape, dtype=np.float64)
-    elif out.shape != shape:
-        raise ValueError(f"out shape {out.shape} != {shape}")
     if m == 0:
         # An empty segment has no overlap with any longer one.
-        out[...] = 1.0
-        return out
+        return np.ones(shape, dtype=np.float64)
+    out = np.empty(shape, dtype=np.float64)
     unique = windows.unique
-    binned = short_block.dtype == np.uint8 and all(
-        block.dtype == np.uint8 for block in long_blocks
-    )
-    if not binned:
-        short_block = np.asarray(short_block, dtype=np.float64)
-        long_blocks = [np.asarray(block, dtype=np.float64) for block in long_blocks]
-    lut = byte_term_lut() if binned else None
+    lut = byte_term_lut()
     widest = max(
         (block.shape[0] * (block.shape[1] - m + 1) for block in long_blocks), default=0
     )
@@ -428,11 +336,7 @@ def cross_length_rows(
                 right = np.lib.stride_tricks.sliding_window_view(block, m, axis=1)[
                     np.newaxis
                 ]  # (1,b,offsets,m)
-                if binned:
-                    means = lut[left, right].mean(axis=3)  # (c, b, offsets)
-                else:
-                    means = _terms_mean_float(left, right)
-                d_min = means.min(axis=2)
+                d_min = lut[left, right].mean(axis=3).min(axis=2)  # (c, b)
             out[start - row_start : stop - row_start, column : column + b] = _penalized(
                 d_min, m, n, penalty_factor
             )
@@ -447,7 +351,6 @@ def equal_length_cross_rows(
     row_start: int,
     row_stop: int,
     *,
-    out: np.ndarray | None = None,
     cells_budget: int | None = None,
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of an equal-length *rectangular* bin.
@@ -456,24 +359,19 @@ def equal_length_cross_rows(
     *disjoint* groups of segments of the same length — new rows against
     old columns — which is neither the triangular within-bin kernel
     (:func:`pairwise_equal_length_rows`) nor the sliding cross-length
-    kernel.  Returns (or fills *out* with) the
-    ``(row_stop - row_start, count_b)`` block of normalized Canberra
-    distances between rows of *block_a* and all rows of *block_b*
-    (both ``(count, length)`` with the same length).
+    kernel.  Returns the ``(row_stop - row_start, count_b)`` block of
+    normalized Canberra distances between rows of *block_a* and all rows
+    of *block_b* (both ``(count, length)`` uint8 with the same length).
 
     Each cell is the mean of the same gathered terms
-    :func:`pairwise_equal_length` computes for that pair inside one
+    :func:`pairwise_equal_length_rows` computes for that pair inside one
     combined bin, reduced along the same axis — so an append build that
     routes old-vs-new pairs through this kernel stays bit-identical to
     a batch build over the union.  *cells_budget* bounds the per-chunk
     temporary exactly as in :func:`pairwise_equal_length_rows`.
     """
-    block_a = np.asarray(block_a)
-    block_b = np.asarray(block_b)
-    binned = block_a.dtype == np.uint8 and block_b.dtype == np.uint8
-    if not binned:
-        block_a = np.asarray(block_a, dtype=np.float64)
-        block_b = np.asarray(block_b, dtype=np.float64)
+    block_a = _uint8_block(block_a)
+    block_b = _uint8_block(block_b)
     count_a, length_a = block_a.shape
     count_b, length_b = block_b.shape
     if length_a != length_b:
@@ -485,36 +383,15 @@ def equal_length_cross_rows(
         raise ValueError(
             f"tile rows [{row_start}, {row_stop}) outside block of {count_a} rows"
         )
-    rows = row_stop - row_start
-    if out is None:
-        out = np.empty((rows, count_b), dtype=np.float64)
-    elif out.shape != (rows, count_b):
-        raise ValueError(f"out shape {out.shape} != {(rows, count_b)}")
+    out = np.zeros((row_stop - row_start, count_b), dtype=np.float64)
     if length_a == 0:
-        out[...] = 0.0
         return out
     chunk_rows = _chunk_rows_for(count_b * length_a, cells_budget)
-    lut = byte_term_lut() if binned else None
+    lut = byte_term_lut()
+    right = block_b[np.newaxis, :, :]
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        left = block_a[start:stop, np.newaxis, :]
-        right = block_b[np.newaxis, :, :]
-        if binned:
-            means = lut[left, right].mean(axis=2)
-        else:
-            means = _terms_mean_float(left, right)
-        out[start - row_start : stop - row_start] = means
+        out[start - row_start : stop - row_start] = lut[
+            block_a[start:stop, np.newaxis, :], right
+        ].mean(axis=2)
     return out
-
-
-def equal_length_cross_block(
-    block_a: np.ndarray, block_b: np.ndarray
-) -> np.ndarray:
-    """Full ``(count_a, count_b)`` equal-length rectangular bin.
-
-    Whole-block convenience over :func:`equal_length_cross_rows` — the
-    serial append path's unit of work, mirroring how
-    :func:`pairwise_equal_length` relates to its row-tile entry point.
-    """
-    block_a = np.asarray(block_a)
-    return equal_length_cross_rows(block_a, block_b, 0, block_a.shape[0])

@@ -5,34 +5,37 @@ metric and as the source of the k-NN distance distributions for the
 epsilon auto-configuration.  Computation is grouped by segment length so
 that equal-length pairs use the plain normalized Canberra distance and
 unequal-length pairs use the sliding/penalty extension.  Per length m
-there are two tasks: the equal-length bin, and one cross task pairing
-the length-m block with every longer block, so the longer segments'
+there are at most two tasks: the equal-length bin (when it holds two or
+more segments), and one cross task pairing the length-m block with
+every longer block, so the longer segments'
 m-byte windows are collected (and deduplicated) once per short length.
-Every task runs the vectorized batch kernel of
-:mod:`repro.core.canberra`: a byte-term lookup table, triangle
-mirroring for equal lengths and a sliding minimum over deduplicated
-windows for unequal lengths.
+Every task is cut into row tiles, and every tile runs one vectorized
+row kernel of :mod:`repro.core.canberra`: a byte-term lookup table
+gather, and a sliding minimum over deduplicated windows for unequal
+lengths.  A tile is the only way a cell is computed; it runs in one of
+two places, and the disk cache can skip it:
 
-Three interchangeable execution paths produce bit-identical values:
-
-- **serial** — one thread walks the tasks in order (the automatic
-  choice when the segment count is below
-  :attr:`MatrixBuildOptions.parallel_threshold` or one worker is
-  requested);
-- **threads** — the tasks, sub-tiled to the kernel's ~160 MB temporary
-  budget, form a work queue scheduled longest-processing-time-first
-  onto a :class:`concurrent.futures.ThreadPoolExecutor`
-  (:attr:`MatrixBuildOptions.workers`, default ``os.cpu_count()``).
+- **threads** — above :attr:`MatrixBuildOptions.parallel_threshold`
+  segments with more than one worker, the tasks, sub-tiled to the
+  kernel's ~160 MB temporary budget, form a work queue scheduled
+  longest-processing-time-first onto a
+  :class:`concurrent.futures.ThreadPoolExecutor`
+  (:attr:`MatrixBuildOptions.workers`, default: the usable cores).
   The numpy LUT gathers release the GIL, so worker threads share the
   uint8 blocks and the output matrix (RAM or memmap) zero-copy: each
   worker writes its disjoint tile straight into the output — no result
-  shipping, no pickling.  Tile boundaries are deterministic
-  (worker-count independent) and every cell is the same reduction
-  either way, so the bytes are identical regardless of worker count or
-  completion order;
+  shipping, no pickling;
+- **serial** — otherwise each task runs inline as one whole-row tile
+  on the calling thread, in task order;
 - **cached** — a content-addressed ``.npz`` on disk
   (:mod:`repro.core.matrixcache`) short-circuits the whole computation
   for a previously seen segment set + penalty factor.
+
+Tile boundaries are deterministic (worker-count independent) and every
+cell is the same reduction however rows are tiled, so the bytes are
+identical regardless of worker count or completion order.  A tile that
+raises fails the build with a :class:`~repro.errors.ComputeError`
+naming its bin, on either path.
 
 :class:`BuildStats` on the returned matrix records which path ran and
 how long each stage took, so speedups stay observable.
@@ -57,9 +60,7 @@ from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
     cross_length_rows,
-    equal_length_cross_block,
     equal_length_cross_rows,
-    pairwise_equal_length,
     pairwise_equal_length_rows,
     sliding_windows,
 )
@@ -99,6 +100,11 @@ STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
 #: RSS of threaded builds stays at or below the per-pair scheduler's.
 CHUNKS_PER_WORKER = 4
 
+#: Geometric over-allocation of :class:`AppendableMatrix` storage: each
+#: regrow reserves this factor of the current capacity, so repeated
+#: appends amortize the O(n²) copy.
+RESERVE_FACTOR = 1.5
+
 _KNN_HELP = (
     "Seconds per all-k nearest-neighbor column extraction "
     "(one np.partition pass over the dissimilarity matrix)."
@@ -107,8 +113,8 @@ _KNN_HELP = (
 _PAIRS_HELP = "Unique segment pairs computed by the vectorized kernel."
 
 _FAULTS_HELP = (
-    "Failed tiles during threaded matrix builds (kind: bin_error; a "
-    "tile failure fails the build)."
+    "Failed tiles during matrix builds (kind: bin_error; a tile failure "
+    "fails the build)."
 )
 
 _BIN_QUEUE_HELP = (
@@ -132,7 +138,7 @@ class MatrixBuildOptions:
     """
 
     #: Parallel worker count.  The convention is uniform across the
-    #: library and both CLIs: ``None`` ⇒ one worker per CPU core,
+    #: library and both CLIs: ``None`` ⇒ one worker per usable core,
     #: ``0`` ⇒ serial (an explicit opt-out, same as ``--workers 0``),
     #: ``N >= 1`` ⇒ exactly N workers.  Negative values are rejected.
     workers: int | None = None
@@ -163,19 +169,24 @@ class MatrixBuildOptions:
             )
         if self.workers is not None and int(self.workers) < 0:
             raise ValueError(
-                f"workers must be >= 0 (0 = serial) or None (= all cores), "
+                f"workers must be >= 0 (0 = serial) or None (= usable cores), "
                 f"got {self.workers}"
             )
 
     def effective_workers(self) -> int:
         """Resolved worker count (>= 1).
 
-        ``None`` resolves to ``os.cpu_count()``; ``0`` resolves to 1 —
-        it *means* serial (the ``--workers 0`` convention shared by both
-        CLIs), and the build honors that because the threaded path only
-        engages when the resolved count exceeds one.
+        ``None`` resolves to the usable cores: the CPUs this process may
+        run on (``os.sched_getaffinity``, which honors ``taskset`` and
+        cpusets), or ``os.cpu_count()`` where the platform has no
+        affinity call.  ``0`` resolves to 1 — it *means* serial (the
+        ``--workers 0`` convention shared by both CLIs), and the build
+        honors that because the threaded path only engages when the
+        resolved count exceeds one.
         """
         if self.workers is None:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         return int(self.workers) or 1
 
@@ -194,7 +205,7 @@ class BuildStats:
     #: "ram" or "memmap" — where the values live.
     storage: str = STORAGE_RAM
     workers: int = 1
-    #: Independent work items (same-length + cross-length blocks).
+    #: Independent work items (same-length bins + cross-length groups).
     task_count: int = 0
     #: Scheduled tiles on the threaded backend (bins sub-tiled to the
     #: kernel's temporary budget); 0 elsewhere.
@@ -205,6 +216,16 @@ class BuildStats:
     cache_key: str | None = None
     #: Per-stage wall-clock seconds: blocks/compute/cache_load/cache_store/total.
     seconds: dict[str, float] = field(default_factory=dict)
+
+
+def _by_length(
+    segments: list[UniqueSegment], start: int, stop: int
+) -> dict[int, list[int]]:
+    """Indices ``[start, stop)`` of *segments* grouped by segment length."""
+    by_length: dict[int, list[int]] = {}
+    for index in range(start, stop):
+        by_length.setdefault(segments[index].length, []).append(index)
+    return by_length
 
 
 def _segment_blocks(
@@ -267,42 +288,86 @@ def _cross_task(
     )
 
 
-def _block_tasks(
-    lengths: list[int],
-    blocks: dict[int, np.ndarray],
+def _tasks(
+    old_by_length: dict[int, list[int]],
+    new_by_length: dict[int, list[int]],
+    old_blocks: dict[int, np.ndarray],
+    new_blocks: dict[int, np.ndarray],
     penalty_factor: float,
-    by_length: dict[int, list[int]],
 ) -> list[_Task]:
-    """Work items of a batch build: per length, its bin and one cross task.
+    """Work items covering exactly the cells with a *new* segment on a side.
 
-    The cross task pairs the length-m block with every longer block, so
-    the m-byte windows of the longer segments are collected (and
-    deduplicated) once per short length rather than once per length pair.
+    A batch build has no old segments, so every cell is new.  Per length
+    over the union of old and new lengths: the new "same" triangle (a
+    bin of one segment has no pairs), the new-vs-old "eqcross"
+    rectangle, and at most two "cross" tasks — the new length-m block
+    against every longer block of both generations, and the old
+    length-m block against the longer new blocks.  Each cross task pairs
+    the length-m block with a whole group of longer blocks, so their
+    m-byte windows are collected (and deduplicated) once per short
+    length rather than once per length pair.  Old-vs-old cells already
+    hold their final values and are never touched, which is what keeps
+    concurrent tile writes disjoint from the live matrix view.  Each
+    cell goes through the same kernel reduction as a batch build over
+    the union, so an appended matrix is bit-identical to a from-scratch
+    build.
     """
     tasks = []
+    lengths = sorted(set(old_by_length) | set(new_by_length))
     for li, length in enumerate(lengths):
-        tasks.append(
-            _Task(
-                "same",
-                length,
-                length,
-                blocks[length],
-                None,
-                penalty_factor,
-                by_length[length],
-                by_length[length],
-            )
-        )
-        longer = [(blocks[n], by_length[n]) for n in lengths[li + 1 :]]
-        if longer:
+        old = old_by_length.get(length)
+        new = new_by_length.get(length)
+        if new and len(new) > 1:
             tasks.append(
-                _cross_task((blocks[length], by_length[length]), longer, penalty_factor)
+                _Task(
+                    "same",
+                    length,
+                    length,
+                    new_blocks[length],
+                    None,
+                    penalty_factor,
+                    new,
+                    new,
+                )
+            )
+        if new and old:
+            tasks.append(
+                _Task(
+                    "eqcross",
+                    length,
+                    length,
+                    new_blocks[length],
+                    old_blocks[length],
+                    penalty_factor,
+                    new,
+                    old,
+                )
+            )
+        longer_new = [
+            (new_blocks[n], new_by_length[n])
+            for n in lengths[li + 1 :]
+            if n in new_by_length
+        ]
+        longer_old = [
+            (old_blocks[n], old_by_length[n])
+            for n in lengths[li + 1 :]
+            if n in old_by_length
+        ]
+        if new and (longer_old or longer_new):
+            tasks.append(
+                _cross_task(
+                    (new_blocks[length], new), longer_old + longer_new, penalty_factor
+                )
+            )
+        if old and longer_new:
+            tasks.append(
+                _cross_task((old_blocks[length], old), longer_new, penalty_factor)
             )
     return tasks
 
 
 def _task_pair_count(task: _Task) -> int:
-    """Unique segment pairs one block task covers."""
+    """Unique segment pairs one task covers."""
     return _tile_pair_count(task, 0, task.block_a.shape[0])
 
 
@@ -312,9 +377,8 @@ def _task_tiles(tasks: list[_Task]) -> list[tuple[int, int, int, int]]:
     Each task is sub-tiled along its rows so one tile's gather stays
     inside the kernel's fixed temporary budget
     (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`, ~160 MB of float64
-    cells) — the same bound the serial kernel chunks under.  A cross
-    row is costed at the byte terms it would gather without window
-    dedup, which depends on shapes alone.  Boundaries
+    cells).  A cross row is costed at the byte terms it would gather
+    without window dedup, which depends on shapes alone.  Boundaries
     depend only on the task shapes, never on the worker count, so the
     queue is deterministic; *cost* estimates the tile's gather cells and
     drives the longest-processing-time-first schedule.
@@ -351,26 +415,6 @@ def _tile_pair_count(task: _Task, row_start: int, row_stop: int) -> int:
     return rows * len(task.cols)
 
 
-def _cross_rows(
-    task: _Task, row_start: int, row_stop: int, cells_budget: int | None = None
-) -> tuple[np.ndarray, dict]:
-    """Rows of a binned cross task, plus its window counts for the span.
-
-    Each tile collects and deduplicates its task's windows itself, so
-    tiles share no state; a task rarely spans more than a few tiles.
-    """
-    windows = sliding_windows(task.block_b, task.len_a)
-    tile = cross_length_rows(
-        task.block_a,
-        windows,
-        row_start,
-        row_stop,
-        penalty_factor=task.penalty_factor,
-        cells_budget=cells_budget,
-    )
-    return tile, {"windows": windows.count, "unique_windows": windows.unique_count}
-
-
 def _compute_tile_into(
     values: np.ndarray,
     task: _Task,
@@ -380,13 +424,15 @@ def _compute_tile_into(
 ) -> dict:
     """Compute one tile and write it (plus its mirror) into *values*.
 
-    The thread worker's unit of work.  Tiles of one build cover
+    The one unit of work of every build.  Tiles of one build cover
     disjoint cells of *values* (an equal-length tile owns its upper
     band rows and their transposes; a cross-length or eqcross tile owns
     its rows and their transposes), so concurrent workers never write
     the same cell — except the symmetric diagonal band *within* one
     tile, which the same thread overwrites with bit-identical values.
-    Returns the tile's extra ``matrix.bin`` span attributes.
+    Returns the tile's extra ``matrix.bin`` span attributes: a cross
+    tile collects and deduplicates its task's windows itself, so tiles
+    share no state, and reports their counts.
     """
     attributes: dict = {}
     rows = task.rows[row_start:row_stop]
@@ -401,10 +447,29 @@ def _compute_tile_into(
             task.block_a, task.block_b, row_start, row_stop, cells_budget=cells_budget
         )
     else:
-        tile, attributes = _cross_rows(task, row_start, row_stop, cells_budget)
+        windows = sliding_windows(task.block_b, task.len_a)
+        tile = cross_length_rows(
+            task.block_a,
+            windows,
+            row_start,
+            row_stop,
+            penalty_factor=task.penalty_factor,
+            cells_budget=cells_budget,
+        )
+        attributes = {"windows": windows.count, "unique_windows": windows.unique_count}
     values[np.ix_(rows, cols)] = tile
     values[np.ix_(cols, rows)] = tile.T
     return attributes
+
+
+def _bin_error(
+    task: _Task, row_start: int, row_stop: int, where: str, error: Exception
+) -> ComputeError:
+    """The build's failure when one of *task*'s tiles raised *error*."""
+    return ComputeError(
+        f"matrix bin ({task.len_a}, {task.len_b}) failed in the {where} "
+        f"(tile rows [{row_start}, {row_stop})): {error}"
+    )
 
 
 def _run_tile(
@@ -436,12 +501,9 @@ def _run_tile(
 
 
 def _compute_tiles_threaded(
-    tasks: list[_Task],
-    values: np.ndarray,
-    options: MatrixBuildOptions,
-    stats: BuildStats,
-) -> bool:
-    """Run the tile queue on a thread pool, writing into *values*.
+    tasks: list[_Task], values: np.ndarray, workers: int, stats: BuildStats
+) -> None:
+    """Run the tile queue on *workers* threads, writing into *values*.
 
     Tiles are submitted longest-processing-time-first (by estimated
     gather cells), so the big tasks start immediately and the small ones
@@ -450,23 +512,14 @@ def _compute_tiles_threaded(
     zero-copy; the kernel's temporary budget is divided across workers
     (:func:`repro.core.membound.divide_bound`) and each worker's share
     again by :data:`CHUNKS_PER_WORKER`, so the temporaries of concurrent
-    tiles together stay inside one serial chunk's bound.
+    tiles together stay inside one serial tile's bound.
 
     A tile that raises fails the whole build with a
     :class:`ComputeError` naming its bin: threads cannot be killed, so
     the scheduler cancels every not-yet-started tile, drains the ones
-    already running, and only then raises.  Returns False when the
-    executor cannot be created, so the caller falls back to the serial
-    loop.
+    already running, and only then raises.
     """
-    workers = options.effective_workers()
-    try:
-        executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-matrix"
-        )
-    except (OSError, ValueError, RuntimeError) as error:
-        logger.debug("threaded build unavailable (%s); serial", error)
-        return False
+    executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-matrix")
     tiles = _task_tiles(tasks)
     # LPT: largest estimated tile first, index as deterministic tie-break.
     order = sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))
@@ -525,51 +578,21 @@ def _compute_tiles_threaded(
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
     if failure is not None:
-        tile, error = failure
-        task = tasks[tile[0]]
-        raise ComputeError(
-            f"matrix bin ({task.len_a}, {task.len_b}) failed in the threaded build "
-            f"(tile rows [{tile[1]}, {tile[2]}), {drained} queued tiles "
-            f"drained): {error}"
+        (index, row_start, row_stop, _), error = failure
+        raise _bin_error(
+            tasks[index],
+            row_start,
+            row_stop,
+            f"threaded build, {drained} queued tiles drained",
+            error,
         ) from error
-    return True
-
-
-def _compute_block_task(task: _Task) -> tuple[np.ndarray, dict]:
-    """Compute one whole task: the serial path's unit of work.
-
-    Returns the block and its extra ``matrix.bin`` span attributes.  A
-    "same" block is the full symmetric square of its bin (the kernel
-    computes the upper triangle and mirrors it).
-    """
-    if task.kind == "same":
-        return pairwise_equal_length(task.block_a), {}
-    if task.kind == "eqcross":
-        return equal_length_cross_block(task.block_a, task.block_b), {}
-    return _cross_rows(task, 0, task.block_a.shape[0])
-
-
-def _scatter_results(
-    values: np.ndarray,
-    tasks: list[_Task],
-    results: list[tuple[np.ndarray, dict]],
-) -> None:
-    """Write block results into *values* at their tasks' global indices.
-
-    "same" blocks are symmetric squares over one index set (a single
-    write covers both triangles); "cross" and "eqcross" rectangles also
-    write their transpose into the mirrored cells.
-    """
-    for task, (block_values, _) in zip(tasks, results):
-        values[np.ix_(task.rows, task.cols)] = block_values
-        if task.kind != "same":
-            values[np.ix_(task.cols, task.rows)] = block_values.T
 
 
 def _compute_tasks_serially(values: np.ndarray, tasks: list[_Task]) -> None:
-    """Compute every task in order, one ``matrix.bin`` span each, into *values*."""
+    """Run each task as one whole-row tile, in order, one ``matrix.bin`` span each."""
     tracer = get_tracer()
     for task in tasks:
+        rows = task.block_a.shape[0]
         with tracer.span(
             "matrix.bin",
             kind=task.kind,
@@ -577,35 +600,53 @@ def _compute_tasks_serially(values: np.ndarray, tasks: list[_Task]) -> None:
             len_b=task.len_b,
             pairs=_task_pair_count(task),
         ) as span:
-            result = _compute_block_task(task)
-            span.set(**result[1])
-        _scatter_results(values, [task], [result])
+            try:
+                span.set(**_compute_tile_into(values, task, 0, rows, CHUNK_CELL_BUDGET))
+            except Exception as error:
+                get_metrics().counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(
+                    kind="bin_error"
+                )
+                raise _bin_error(task, 0, rows, "serial build", error) from error
 
 
-def _compute_tasks(
+def _compute_cells(
     values: np.ndarray,
-    tasks: list[_Task],
-    count: int,
+    segments: list[UniqueSegment],
+    old_count: int,
+    penalty_factor: float,
     options: MatrixBuildOptions,
     stats: BuildStats,
 ) -> bool:
-    """Fill *values* from *tasks*; returns whether the threaded path ran.
+    """Fill every cell of *values* with a segment past *old_count* on a side.
 
-    Threads engage above the parallel threshold with more than one
-    worker; otherwise (or when no executor can be created) the tasks
-    run serially.  Either way the pairs computed are counted.
+    Groups the segments by length into uint8 blocks, turns them into
+    :func:`_tasks` and computes those (``old_count=0`` is a batch
+    build).  Threads engage above the parallel threshold with more than
+    one worker; otherwise the tasks run serially.  Returns whether the
+    threaded path ran.
     """
-    workers = options.effective_workers()
-    threaded = (
-        workers > 1
-        and bool(tasks)
-        and count >= options.parallel_threshold
-        and _compute_tiles_threaded(tasks, values, options, stats)
+    blocks_started = time.perf_counter()
+    old_by_length = _by_length(segments, 0, old_count)
+    new_by_length = _by_length(segments, old_count, len(segments))
+    tasks = _tasks(
+        old_by_length,
+        new_by_length,
+        _segment_blocks(segments, old_by_length),
+        _segment_blocks(segments, new_by_length),
+        penalty_factor,
     )
+    stats.seconds["blocks"] = time.perf_counter() - blocks_started
+    stats.task_count = len(tasks)
+
+    compute_started = time.perf_counter()
+    workers = options.effective_workers()
+    threaded = workers > 1 and bool(tasks) and len(segments) >= options.parallel_threshold
     if threaded:
+        _compute_tiles_threaded(tasks, values, workers, stats)
         stats.workers = workers
     else:
         _compute_tasks_serially(values, tasks)
+    stats.seconds["compute"] = time.perf_counter() - compute_started
     stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
     get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
         stats.pairs_vectorized
@@ -703,7 +744,9 @@ class DissimilarityMatrix:
                     cls._record_build(span, stats)
                     return cls(segments=segments, values=values, stats=stats)
 
-            values, stats = cls._compute(segments, penalty_factor, options, stats)
+            values = _allocate_values(len(segments), options.dtype, options.storage)
+            if _compute_cells(values, segments, 0, penalty_factor, options, stats):
+                stats.backend = "parallel"
 
             if options.use_cache and stats.cache_key is not None and order is not None:
                 store_started = time.perf_counter()
@@ -733,68 +776,25 @@ class DissimilarityMatrix:
             BUILDS_METRIC, help="Dissimilarity-matrix builds by backend."
         ).inc(backend=stats.backend)
 
-    @classmethod
-    def _compute(
-        cls,
-        segments: list[UniqueSegment],
-        penalty_factor: float,
-        options: MatrixBuildOptions,
-        stats: BuildStats,
-    ) -> tuple[np.ndarray, BuildStats]:
-        count = len(segments)
-        values = _allocate_values(count, options.dtype, options.storage)
-        blocks_started = time.perf_counter()
-        by_length: dict[int, list[int]] = {}
-        for index, segment in enumerate(segments):
-            by_length.setdefault(segment.length, []).append(index)
-        blocks = _segment_blocks(segments, by_length)
-        lengths = sorted(by_length)
-        tasks = _block_tasks(lengths, blocks, penalty_factor, by_length)
-        stats.seconds["blocks"] = time.perf_counter() - blocks_started
-        stats.task_count = len(tasks)
-
-        compute_started = time.perf_counter()
-        if _compute_tasks(values, tasks, count, options, stats):
-            stats.backend = "parallel"
-        stats.seconds["compute"] = time.perf_counter() - compute_started
-        return values, stats
-
     def __len__(self) -> int:
         return len(self.segments)
 
     def distance(self, i: int, j: int) -> float:
         return float(self.values[i, j])
 
-    def knn_distances(self, k: int) -> np.ndarray:
-        """Dissimilarity of every segment to its k-th nearest neighbor.
-
-        Neighbors exclude the segment itself (k=1 is the closest other
-        segment).  Requires ``k < len(self)``.
-
-        This is the full-sort reference implementation; hot paths that
-        need several k values at once use :meth:`knn_distances_all`,
-        which returns the identical columns from one partition pass.
-        """
-        count = len(self)
-        if not 1 <= k < count:
-            raise ValueError(f"k must be in [1, {count - 1}], got {k}")
-        ordered = np.sort(self.values, axis=1)
-        # Column 0 is the self-distance (diagonal zero); column k is the
-        # k-th nearest other segment.  Duplicate zero distances cannot
-        # occur because segments are unique values.
-        return ordered[:, k]
-
     def knn_distances_all(
         self, k_max: int, memory_bound_bytes: int | None = None
     ) -> np.ndarray:
         """Every k-th-NN distance column for k in [1, k_max], at once.
 
-        Returns a ``(n, k_max)`` array whose column ``k - 1`` equals
-        ``knn_distances(k)`` — the k-th order statistic of a row is the
-        same value whether it comes from a full sort or a partial
-        partition, so the columns are bit-identical to the reference.
-        One ``np.partition`` pass costs O(n²) per row block instead of
-        the reference's O(n² log n) full sort per k, and the scan is
+        Returns a ``(n, k_max)`` array whose column ``k - 1`` holds every
+        segment's dissimilarity to its k-th nearest neighbor, the segment
+        itself excluded (k=1 is the closest other segment).  The k-th
+        order statistic of a row is the same value whether it comes from
+        a full sort or a partial partition, so the columns are
+        bit-identical to a full-sort reference.  One ``np.partition``
+        pass costs O(n²) per row block instead of an O(n² log n) full
+        sort per k, and the scan is
         blocked under *memory_bound_bytes* (partition copies its input
         block, so a full-matrix pass would transiently double the
         resident matrix).
@@ -826,7 +826,7 @@ class DissimilarityMatrix:
                 part = np.partition(self.values[start:stop], kth, axis=1)
                 # Column 0 of the sorted row would be the self-distance
                 # (diagonal zero); columns 1..k_max are the k nearest
-                # other segments, exactly as in :meth:`knn_distances`.
+                # other segments.
                 columns[start:stop] = part[:, 1 : k_max + 1]
             elapsed = time.perf_counter() - started
             span.set(seconds=round(elapsed, 6), block_rows=block)
@@ -834,105 +834,20 @@ class DissimilarityMatrix:
         self._knn_columns = columns
         return columns
 
-    def neighborhoods(self, epsilon: float) -> list[np.ndarray]:
-        """Indices within *epsilon* of each segment (excluding itself)."""
-        result = []
-        for index in range(len(self)):
-            close = np.nonzero(self.values[index] <= epsilon)[0]
-            result.append(close[close != index])
-        return result
-
-    def submatrix(self, indices: list[int]) -> np.ndarray:
-        return self.values[np.ix_(indices, indices)]
-
     def condensed(self) -> np.ndarray:
         """Upper-triangle distances as a flat vector (scipy convention)."""
         iu = np.triu_indices(len(self), k=1)
         return self.values[iu]
 
 
-def _append_tasks(
-    old_by_length: dict[int, list[int]],
-    new_by_length: dict[int, list[int]],
-    old_blocks: dict[int, np.ndarray],
-    new_blocks: dict[int, np.ndarray],
-    penalty_factor: float,
-) -> list[_Task]:
-    """Work items covering exactly the cells an append adds.
-
-    Per length over the union of old and new lengths, emit only the
-    work with at least one *new* segment on a side: the new "same"
-    triangle, the new-vs-old "eqcross" rectangle, and at most two
-    "cross" tasks — the new length-m block against every longer block
-    of both generations, and the old length-m block against the longer
-    new blocks.  Old-vs-old cells already hold their final values and
-    are never touched, which is what keeps concurrent tile writes
-    disjoint from the live matrix view.  Each cell goes through the
-    same kernel reduction as a batch build over the union, so the
-    appended matrix is bit-identical to a from-scratch build.
-    """
-    tasks = []
-    lengths = sorted(set(old_by_length) | set(new_by_length))
-    for li, length in enumerate(lengths):
-        old = old_by_length.get(length)
-        new = new_by_length.get(length)
-        if new and len(new) > 1:
-            tasks.append(
-                _Task(
-                    "same",
-                    length,
-                    length,
-                    new_blocks[length],
-                    None,
-                    penalty_factor,
-                    new,
-                    new,
-                )
-            )
-        if new and old:
-            tasks.append(
-                _Task(
-                    "eqcross",
-                    length,
-                    length,
-                    new_blocks[length],
-                    old_blocks[length],
-                    penalty_factor,
-                    new,
-                    old,
-                )
-            )
-        longer_new = [
-            (new_blocks[n], new_by_length[n])
-            for n in lengths[li + 1 :]
-            if n in new_by_length
-        ]
-        longer_old = [
-            (old_blocks[n], old_by_length[n])
-            for n in lengths[li + 1 :]
-            if n in old_by_length
-        ]
-        if new and (longer_old or longer_new):
-            tasks.append(
-                _cross_task(
-                    (new_blocks[length], new), longer_old + longer_new, penalty_factor
-                )
-            )
-        if old and longer_new:
-            tasks.append(
-                _cross_task((old_blocks[length], old), longer_new, penalty_factor)
-            )
-    return tasks
-
-
 class AppendableMatrix:
     """A dissimilarity matrix that grows in place as segments arrive.
 
     Wraps :class:`DissimilarityMatrix` with capacity-managed backing
-    storage (geometric over-allocation, so repeated appends amortize
-    the O(n²) copy) and an :meth:`append` that computes only the
-    new-vs-old rectangles and the new-vs-new diagonal — through the
-    same binned kernel and threaded tile queue as a batch build, so the
+    storage (over-allocated by :data:`RESERVE_FACTOR`) and an
+    :meth:`append` that computes only the new-vs-old rectangles and the
+    new-vs-new diagonal — through the same tasks and tiles as a batch
+    build, so the
     grown matrix is bit-identical to ``DissimilarityMatrix.build`` over
     the union of segments.  The cached k-NN columns are folded forward
     with a rank-k merge instead of re-partitioning every old row.
@@ -947,19 +862,15 @@ class AppendableMatrix:
         segments: list[UniqueSegment],
         penalty_factor: float = DEFAULT_PENALTY_FACTOR,
         options: MatrixBuildOptions | None = None,
-        reserve_factor: float = 1.5,
     ) -> None:
         if options is None:
             options = MatrixBuildOptions()
-        if reserve_factor < 1.0:
-            raise ValueError(f"reserve_factor must be >= 1, got {reserve_factor}")
         self.options = options
         self.penalty_factor = penalty_factor
-        self._reserve_factor = float(reserve_factor)
         segments = list(segments)
         built = DissimilarityMatrix.build(segments, penalty_factor, options)
         count = len(segments)
-        capacity = max(1, count, int(count * self._reserve_factor))
+        capacity = max(1, count, int(count * RESERVE_FACTOR))
         self._backing = _allocate_values(capacity, options.dtype, options.storage)
         self._backing[:count, :count] = built.values
         self._count = count
@@ -986,7 +897,7 @@ class AppendableMatrix:
         capacity = self._backing.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(needed, int(capacity * self._reserve_factor) + 1)
+        new_capacity = max(needed, int(capacity * RESERVE_FACTOR) + 1)
         grown = _allocate_values(new_capacity, self.options.dtype, self.options.storage)
         grown[: self._count, : self._count] = self._backing[
             : self._count, : self._count
@@ -1024,40 +935,13 @@ class AppendableMatrix:
                 storage=options.storage,
             )
 
-            blocks_started = time.perf_counter()
-            old_segments = self._matrix.segments
-            old_by_length: dict[int, list[int]] = {}
-            for index, segment in enumerate(old_segments):
-                old_by_length.setdefault(segment.length, []).append(index)
-            new_local: dict[int, list[int]] = {}
-            for offset, segment in enumerate(new_segments):
-                new_local.setdefault(segment.length, []).append(offset)
-            old_blocks = _segment_blocks(old_segments, old_by_length)
-            new_blocks = _segment_blocks(new_segments, new_local)
-            new_by_length = {
-                length: [old_count + offset for offset in offsets]
-                for length, offsets in new_local.items()
-            }
-            tasks = _append_tasks(
-                old_by_length,
-                new_by_length,
-                old_blocks,
-                new_blocks,
-                self.penalty_factor,
-            )
-            stats.seconds["blocks"] = time.perf_counter() - blocks_started
-            stats.task_count = len(tasks)
-
-            compute_started = time.perf_counter()
-            _compute_tasks(values, tasks, count, options, stats)
-            stats.seconds["compute"] = time.perf_counter() - compute_started
+            segments = self._matrix.segments + new_segments
+            _compute_cells(values, segments, old_count, self.penalty_factor, options, stats)
 
             merged_knn = self._merged_knn_columns(values, old_count, count)
             stats.seconds["total"] = time.perf_counter() - started
             DissimilarityMatrix._record_build(span, stats)
-            matrix = DissimilarityMatrix(
-                segments=old_segments + new_segments, values=values, stats=stats
-            )
+            matrix = DissimilarityMatrix(segments=segments, values=values, stats=stats)
             matrix._knn_columns = merged_knn
             self._matrix = matrix
             self._count = count

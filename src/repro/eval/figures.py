@@ -64,7 +64,7 @@ def run_figure2(
     uniq = unique_segments(segments)
     matrix = DissimilarityMatrix.build(uniq, options=matrix_options)
     auto = configure(matrix)
-    raw = Ecdf.from_samples(matrix.knn_distances(auto.k))
+    raw = Ecdf.from_samples(matrix.knn_distances_all(auto.k)[:, auto.k - 1])
     ecdf_x, ecdf_y = raw.step_points
     return Figure2(
         protocol=protocol,

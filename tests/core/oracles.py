@@ -4,11 +4,13 @@ Each oracle is the direct, slow transcription of a definition:
 
 - per-pair Canberra kernels — one :func:`canberra_distance` /
   :func:`canberra_dissimilarity` call per pair, quadratic in Python-call
-  overhead — for the vectorized block kernels of
+  overhead — for the vectorized row kernels of
   :mod:`repro.core.canberra`;
 - :func:`reference_matrix` — the whole dissimilarity matrix, one
   :func:`canberra_dissimilarity` call per unordered pair, for
   :meth:`repro.core.matrix.DissimilarityMatrix.build`;
+- :func:`knn_distances` — one k-th-NN column by a full row sort, for
+  :meth:`repro.core.matrix.DissimilarityMatrix.knn_distances_all`;
 - :func:`dense_dbscan` — DBSCAN over the full n×n ``distances <=
   epsilon`` boolean matrix, for the blockwise CSR neighborhoods of
   :func:`repro.core.dbscan.dbscan`.
@@ -30,11 +32,12 @@ from repro.core.canberra import (
     canberra_distance,
 )
 from repro.core.dbscan import NOISE, UNVISITED, DbscanResult
+from repro.core.matrix import DissimilarityMatrix
 from repro.core.segments import UniqueSegment
 
 
 def pairwise_equal_length_reference(block: np.ndarray) -> np.ndarray:
-    """Per-pair oracle for :func:`repro.core.canberra.pairwise_equal_length`."""
+    """Per-pair oracle for :func:`repro.core.canberra.pairwise_equal_length_rows`."""
     block = np.asarray(block, dtype=np.float64)
     count = block.shape[0]
     result = np.zeros((count, count), dtype=np.float64)
@@ -47,7 +50,7 @@ def pairwise_equal_length_reference(block: np.ndarray) -> np.ndarray:
 def equal_length_cross_block_reference(
     block_a: np.ndarray, block_b: np.ndarray
 ) -> np.ndarray:
-    """Per-pair oracle for :func:`repro.core.canberra.equal_length_cross_block`."""
+    """Per-pair oracle for :func:`repro.core.canberra.equal_length_cross_rows`."""
     block_a = np.asarray(block_a, dtype=np.float64)
     block_b = np.asarray(block_b, dtype=np.float64)
     if block_a.shape[1] != block_b.shape[1]:
@@ -67,7 +70,7 @@ def cross_length_block_reference(
     long_block: np.ndarray,
     penalty_factor: float = DEFAULT_PENALTY_FACTOR,
 ) -> np.ndarray:
-    """Per-pair oracle for :func:`repro.core.canberra.cross_length_block`."""
+    """Per-pair oracle for :func:`repro.core.canberra.cross_length_rows`."""
     short_block = np.asarray(short_block, dtype=np.float64)
     long_block = np.asarray(long_block, dtype=np.float64)
     if short_block.shape[1] >= long_block.shape[1]:
@@ -97,6 +100,21 @@ def reference_matrix(
                 segments[i].data, segments[j].data, penalty_factor=penalty_factor
             )
     return values
+
+
+def knn_distances(matrix: DissimilarityMatrix, k: int) -> np.ndarray:
+    """Dissimilarity of every segment to its k-th nearest neighbor, by full sort.
+
+    Neighbors exclude the segment itself (k=1 is the closest other
+    segment).  Requires ``k < len(matrix)``.
+    """
+    count = len(matrix)
+    if not 1 <= k < count:
+        raise ValueError(f"k must be in [1, {count - 1}], got {k}")
+    # Column 0 is the self-distance (diagonal zero); column k is the
+    # k-th nearest other segment.  Duplicate zero distances cannot
+    # occur because segments are unique values.
+    return np.sort(matrix.values, axis=1)[:, k]
 
 
 def dense_dbscan(

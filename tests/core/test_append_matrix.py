@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.canberra import equal_length_cross_block, equal_length_cross_rows
+from repro.core.canberra import equal_length_cross_rows
 from repro.core.matrix import (
     AppendableMatrix,
     DissimilarityMatrix,
@@ -64,7 +64,7 @@ class TestEqualLengthCrossKernel:
         block_b = np.frombuffer(
             bytes(rng.randrange(256) for _ in range(b * length)), dtype=np.uint8
         ).reshape(b, length)
-        fast = equal_length_cross_block(block_a, block_b)
+        fast = equal_length_cross_rows(block_a, block_b, 0, a)
         reference = equal_length_cross_block_reference(block_a, block_b)
         np.testing.assert_array_equal(fast, reference)
 
@@ -72,7 +72,7 @@ class TestEqualLengthCrossKernel:
         rng = np.random.default_rng(5)
         block_a = rng.integers(0, 256, size=(7, 9), dtype=np.uint8)
         block_b = rng.integers(0, 256, size=(5, 9), dtype=np.uint8)
-        whole = equal_length_cross_block(block_a, block_b)
+        whole = equal_length_cross_rows(block_a, block_b, 0, 7)
         tiled = np.vstack(
             [
                 equal_length_cross_rows(block_a, block_b, r, min(r + 2, 7))

@@ -7,9 +7,10 @@ from repro.core.canberra import (
     canberra_dissimilarity,
     canberra_distance,
     canberra_terms,
-    cross_length_block,
-    pairwise_equal_length,
+    cross_length_rows,
+    pairwise_equal_length_rows,
     sliding_min_distance,
+    sliding_windows,
 )
 
 byte_vectors = st.binary(min_size=1, max_size=16)
@@ -105,8 +106,8 @@ class TestCanberraDissimilarity:
 class TestBlockKernels:
     def test_pairwise_block_matches_scalar(self):
         data = [b"\x01\x02\x03", b"\x03\x02\x01", b"\xff\x00\x10"]
-        block = np.array([list(d) for d in data], dtype=np.float64)
-        matrix = pairwise_equal_length(block)
+        block = np.array([list(d) for d in data], dtype=np.uint8)
+        matrix = pairwise_equal_length_rows(block, 0, 3)
         for i in range(3):
             for j in range(3):
                 assert matrix[i, j] == pytest.approx(canberra_distance(data[i], data[j]))
@@ -114,20 +115,20 @@ class TestBlockKernels:
     def test_cross_block_matches_scalar(self):
         shorts = [b"\x01\x02", b"\x10\x20"]
         longs = [b"\x00\x01\x02\x03", b"\xaa\xbb\xcc\xdd"]
-        short_block = np.array([list(d) for d in shorts], dtype=np.float64)
-        long_block = np.array([list(d) for d in longs], dtype=np.float64)
-        matrix = cross_length_block(short_block, long_block)
+        short_block = np.array([list(d) for d in shorts], dtype=np.uint8)
+        long_block = np.array([list(d) for d in longs], dtype=np.uint8)
+        matrix = cross_length_rows(short_block, sliding_windows([long_block], 2), 0, 2)
         for i, u in enumerate(shorts):
             for j, v in enumerate(longs):
                 assert matrix[i, j] == pytest.approx(canberra_dissimilarity(u, v))
 
     def test_cross_block_rejects_equal_length(self):
-        block = np.zeros((2, 3))
+        block = np.zeros((2, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
-            cross_length_block(block, block)
+            sliding_windows([block], 3)
 
     def test_pairwise_diagonal_zero(self):
-        block = np.random.default_rng(0).integers(0, 256, size=(20, 8)).astype(float)
-        matrix = pairwise_equal_length(block)
+        block = np.random.default_rng(0).integers(0, 256, size=(20, 8), dtype=np.uint8)
+        matrix = pairwise_equal_length_rows(block, 0, 20)
         assert np.allclose(np.diag(matrix), 0.0)
         assert np.allclose(matrix, matrix.T)

@@ -20,7 +20,7 @@ from repro.core.dbscan import dbscan
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.refinement import cluster_stats, link_segments
 from repro.core.segments import unique_segments
-from tests.core.oracles import dense_dbscan
+from tests.core.oracles import dense_dbscan, knn_distances
 
 #: One row per block vs one block for everything.
 BOUNDS = (1, None)
@@ -142,7 +142,7 @@ class TestKnnDistancesAllParity:
         columns = matrix.knn_distances_all(k_max, memory_bound_bytes=bound)
         assert columns.shape == (len(matrix), k_max)
         for k in range(1, k_max + 1):
-            assert np.array_equal(columns[:, k - 1], matrix.knn_distances(k))
+            assert np.array_equal(columns[:, k - 1], knn_distances(matrix, k))
 
     def test_cache_reused_and_extended(self):
         matrix = golden_matrix("ntp")

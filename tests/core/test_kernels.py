@@ -1,7 +1,7 @@
 """Parity contracts of the binned kernel against the pairwise oracle.
 
-The vectorized length-binned kernel (byte-term LUT gather, triangle
-mirroring, all-offsets sliding minimum) is a pure optimization: on every
+The vectorized length-binned row kernels (byte-term LUT gather, upper
+band, all-offsets sliding minimum) is a pure optimization: on every
 input it must agree with the per-pair reference oracles of
 ``tests/core/oracles.py`` — one ``canberra_distance`` /
 ``canberra_dissimilarity`` call per pair — within 1e-12 absolute (in
@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canberra import (
+    DEFAULT_PENALTY_FACTOR,
     byte_term_lut,
     canberra_dissimilarity,
-    cross_length_block,
-    pairwise_equal_length,
+    cross_length_rows,
+    equal_length_cross_rows,
+    pairwise_equal_length_rows,
+    sliding_windows,
 )
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, unique_segments
@@ -53,6 +56,25 @@ def uint8_block(rng, count, length):
     return rng.integers(0, 256, size=(count, length), dtype=np.uint8)
 
 
+def equal_rows(block, cells_budget=None):
+    """Every row of one equal-length bin: the whole symmetric square."""
+    return pairwise_equal_length_rows(
+        block, 0, block.shape[0], cells_budget=cells_budget
+    )
+
+
+def cross_rows(short, long, penalty_factor=DEFAULT_PENALTY_FACTOR, cells_budget=None):
+    """Every row of a short block against one longer block."""
+    return cross_length_rows(
+        short,
+        sliding_windows([long], short.shape[1]),
+        0,
+        short.shape[0],
+        penalty_factor,
+        cells_budget=cells_budget,
+    )
+
+
 class TestByteTermLut:
     def test_matches_the_formula_exactly(self):
         lut = byte_term_lut()
@@ -67,31 +89,39 @@ class TestByteTermLut:
 class TestEqualLengthKernelParity:
     def test_uint8_fast_path_matches_reference(self):
         block = uint8_block(np.random.default_rng(1), 37, 8)
-        fast = pairwise_equal_length(block)
+        fast = equal_rows(block)
         oracle = pairwise_equal_length_reference(block)
         assert np.abs(fast - oracle).max() <= PARITY_ATOL
         assert np.array_equal(fast, fast.T)
 
-    def test_uint8_and_float_paths_agree(self):
-        block = uint8_block(np.random.default_rng(2), 23, 5)
-        assert np.abs(
-            pairwise_equal_length(block)
-            - pairwise_equal_length(block.astype(np.float64))
-        ).max() <= PARITY_ATOL
-
     def test_degenerate_shapes(self):
-        assert pairwise_equal_length(np.zeros((0, 4), dtype=np.uint8)).shape == (0, 0)
-        assert pairwise_equal_length(np.zeros((1, 4), dtype=np.uint8))[0, 0] == 0.0
+        assert equal_rows(np.zeros((0, 4), dtype=np.uint8)).shape == (0, 0)
+        assert equal_rows(np.zeros((1, 4), dtype=np.uint8))[0, 0] == 0.0
         assert np.array_equal(
-            pairwise_equal_length(np.zeros((3, 0), dtype=np.uint8)), np.zeros((3, 3))
+            equal_rows(np.zeros((3, 0), dtype=np.uint8)), np.zeros((3, 3))
         )
 
-    def test_chunked_mirroring_is_consistent(self, monkeypatch):
-        # Force many tiny row chunks so the triangle band spans chunks.
-        monkeypatch.setattr("repro.core.canberra._CHUNK_CELL_BUDGET", 64)
+    def test_chunked_mirroring_is_consistent(self):
+        # Force many tiny row chunks so the upper band spans chunks.
         block = uint8_block(np.random.default_rng(3), 19, 6)
-        fast = pairwise_equal_length(block)
+        fast = equal_rows(block, cells_budget=64)
         assert np.abs(fast - pairwise_equal_length_reference(block)).max() <= PARITY_ATOL
+        assert fast.tobytes() == equal_rows(block).tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda block: equal_rows(block),
+            lambda block: equal_length_cross_rows(block, block, 0, 2),
+            lambda block: cross_rows(block[:, :2], block),
+        ],
+    )
+    def test_rejects_non_uint8_blocks(self, kernel):
+        # The kernels gather from the byte-term table; other dtypes are
+        # not byte values.
+        block = uint8_block(np.random.default_rng(2), 2, 5).astype(np.float64)
+        with pytest.raises(TypeError, match="uint8"):
+            kernel(block)
 
 
 class TestCrossLengthKernelParity:
@@ -99,7 +129,7 @@ class TestCrossLengthKernelParity:
         rng = np.random.default_rng(4)
         short = uint8_block(rng, 11, 3)
         long = uint8_block(rng, 9, 10)
-        fast = cross_length_block(short, long)
+        fast = cross_rows(short, long)
         oracle = cross_length_block_reference(short, long)
         assert np.abs(fast - oracle).max() <= PARITY_ATOL
 
@@ -107,24 +137,24 @@ class TestCrossLengthKernelParity:
         rng = np.random.default_rng(5)
         short = uint8_block(rng, 7, 2)
         long = uint8_block(rng, 8, 5)
-        fast = cross_length_block(short, long, penalty_factor=0.25)
+        fast = cross_rows(short, long, penalty_factor=0.25)
         oracle = cross_length_block_reference(short, long, penalty_factor=0.25)
         assert np.abs(fast - oracle).max() <= PARITY_ATOL
 
     def test_rejects_equal_or_longer_short_block(self):
         block = uint8_block(np.random.default_rng(6), 4, 4)
         with pytest.raises(ValueError):
-            cross_length_block(block, block)
+            cross_rows(block, block)
         with pytest.raises(ValueError):
             cross_length_block_reference(block, block)
 
-    def test_chunked_path(self, monkeypatch):
-        monkeypatch.setattr("repro.core.canberra._CHUNK_CELL_BUDGET", 64)
+    def test_chunked_path(self):
         rng = np.random.default_rng(7)
         short = uint8_block(rng, 13, 4)
         long = uint8_block(rng, 6, 9)
-        fast = cross_length_block(short, long)
+        fast = cross_rows(short, long, cells_budget=64)
         assert np.abs(fast - cross_length_block_reference(short, long)).max() <= PARITY_ATOL
+        assert fast.tobytes() == cross_rows(short, long).tobytes()
 
     @pytest.mark.parametrize("m", [1, 8, 9])
     def test_deduplicated_and_sliding_windows_agree(self, m):
@@ -133,13 +163,13 @@ class TestCrossLengthKernelParity:
         rng = np.random.default_rng(m)
         short = rng.integers(0, 4, size=(9, m), dtype=np.uint8)
         long = rng.integers(0, 4, size=(7, m + 5), dtype=np.uint8)
-        fast = cross_length_block(short, long)
+        fast = cross_rows(short, long)
         assert np.abs(fast - cross_length_block_reference(short, long)).max() <= PARITY_ATOL
 
     def test_empty_short_block(self):
         short = np.zeros((1, 0), dtype=np.uint8)
         long = uint8_block(np.random.default_rng(8), 3, 2)
-        assert np.array_equal(cross_length_block(short, long), np.ones((1, 3)))
+        assert np.array_equal(cross_rows(short, long), np.ones((1, 3)))
         assert np.array_equal(cross_length_block_reference(short, long), np.ones((1, 3)))
 
 

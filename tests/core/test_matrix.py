@@ -42,35 +42,21 @@ class TestBuild:
 class TestKnn:
     def test_knn_first_neighbor(self):
         matrix = build([b"\x01\x02", b"\x01\x03", b"\xf0\xf1"])
-        knn1 = matrix.knn_distances(1)
+        knn1 = matrix.knn_distances_all(1)[:, 0]
         # Closest other segment for index 0 is index 1.
         assert knn1[0] == pytest.approx(matrix.distance(0, 1))
 
     def test_knn_bounds(self):
         matrix = build([b"\x01\x02", b"\x01\x03", b"\xf0\xf1"])
         with pytest.raises(ValueError):
-            matrix.knn_distances(0)
+            matrix.knn_distances_all(0)
         with pytest.raises(ValueError):
-            matrix.knn_distances(3)
+            matrix.knn_distances_all(3)
 
     def test_knn_monotone_in_k(self):
         matrix = build([bytes([i, 2 * i]) for i in range(1, 14)])
-        knn1 = matrix.knn_distances(1)
-        knn2 = matrix.knn_distances(2)
+        knn1, knn2 = matrix.knn_distances_all(2).T
         assert np.all(knn2 >= knn1)
-
-
-class TestNeighborhoods:
-    def test_excludes_self(self):
-        matrix = build([b"\x01\x02", b"\x01\x02\x03"])
-        hoods = matrix.neighborhoods(epsilon=1.0)
-        assert 0 not in hoods[0]
-        assert 1 in hoods[0]
-
-    def test_epsilon_zero(self):
-        matrix = build([b"\x01\x02", b"\xff\x00"])
-        hoods = matrix.neighborhoods(epsilon=0.0)
-        assert all(len(h) == 0 for h in hoods)
 
 
 class TestCondensed:

@@ -17,8 +17,8 @@ here pin that contract:
   builds and the per-pair oracle of ``tests/core/oracles.py`` agree
   byte for byte;
 - the workers convention shared by the library and both CLIs
-  (``None`` ⇒ all cores, ``0`` ⇒ serial, ``N >= 1`` ⇒ exactly N,
-  negative ⇒ rejected);
+  (``None`` ⇒ the usable cores, ``0`` ⇒ serial, ``N >= 1`` ⇒ exactly
+  N, negative ⇒ rejected);
 - the threaded build's observability surface (``matrix.bin`` spans
   with worker/tile tags, queue-wait histogram, scheduled-tiles
   counter).
@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.cliopts import backend_parent
 from repro.core import matrix as matrix_mod
+from repro.core.canberra import CHUNK_CELL_BUDGET
 from repro.core.matrix import (
     DTYPE_FLOAT32,
     DTYPE_FLOAT64,
@@ -171,16 +172,18 @@ class TestThreadedParity:
 class TestGroupedCrossKernel:
     """One cross task per short length: every build path, the same bytes."""
 
+    @pytest.mark.parametrize("budget", [256, CHUNK_CELL_BUDGET])
     @pytest.mark.parametrize("seed", [3, 5])
     def test_serial_threaded_and_appended_builds_are_bit_identical(
-        self, monkeypatch, seed
+        self, monkeypatch, seed, budget
     ):
         # A 4-symbol alphabet makes windows repeat, so deduplication
         # collapses many of them; lengths 1-12 put short lengths on
-        # both sides of the 8/9-byte key boundary; a tiny budget splits
-        # one short length into many tiles and chunks.
-        monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 256)
-        monkeypatch.setattr("repro.core.canberra._CHUNK_CELL_BUDGET", 256)
+        # both sides of the 8/9-byte key boundary.  A tiny budget splits
+        # every task into many tiles and chunks; the full one computes
+        # each task as one tile.  Both must give the oracle's bytes for
+        # same, eqcross (appends) and cross tiles alike.
+        monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", budget)
         rng = np.random.default_rng(seed)
         datas = list(
             dict.fromkeys(
@@ -196,7 +199,8 @@ class TestGroupedCrossKernel:
         with use_tracer(tracer):
             for workers in (2, 4):
                 built = threaded_build(datas, workers)
-                assert built.stats.tile_count > built.stats.task_count
+                split = built.stats.tile_count > built.stats.task_count
+                assert split == (budget < CHUNK_CELL_BUDGET)
                 assert built.values.tobytes() == reference
         cross = [s for s in tracer.find("matrix.bin") if s.attributes["kind"] == "cross"]
         assert {s.attributes["len_a"] for s in cross} >= {1, 8, 9}
@@ -210,27 +214,38 @@ class TestGroupedCrossKernel:
         )
 
         segments = as_unique_segments(datas)
-        grown = AppendableMatrix(
-            segments[:60],
-            options=MatrixBuildOptions(
-                workers=2, use_cache=False, parallel_threshold=0
-            ),
-        )
-        grown.append(segments[60:110])
-        grown.append(segments[110:])
-        assert np.asarray(grown.matrix.values).tobytes() == reference
+        for workers in (0, 2):
+            grown = AppendableMatrix(
+                segments[:60],
+                options=MatrixBuildOptions(
+                    workers=workers, use_cache=False, parallel_threshold=0
+                ),
+            )
+            grown.append(segments[60:110])
+            grown.append(segments[110:])
+            assert np.asarray(grown.matrix.values).tobytes() == reference
+
+
+def usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class TestWorkersConvention:
-    """None ⇒ all cores, 0 ⇒ serial, N ⇒ exactly N — everywhere."""
+    """None ⇒ usable cores, 0 ⇒ serial, N ⇒ exactly N — everywhere."""
 
     def test_effective_workers_resolution(self):
-        assert MatrixBuildOptions(workers=None).effective_workers() == (
-            os.cpu_count() or 1
-        )
+        assert MatrixBuildOptions(workers=None).effective_workers() == usable_cores()
         assert MatrixBuildOptions(workers=0).effective_workers() == 1
         assert MatrixBuildOptions(workers=1).effective_workers() == 1
         assert MatrixBuildOptions(workers=5).effective_workers() == 5
+
+    def test_none_resolves_to_the_affinity_mask(self, monkeypatch):
+        # 8 CPUs on the machine, but taskset/cpusets allow only CPU 0.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert MatrixBuildOptions(workers=None).effective_workers() == 1
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 0"):
@@ -262,7 +277,7 @@ class TestWorkersConvention:
         args = self._parse()
         options = ClusteringConfig.from_args(args).matrix_options
         assert options.workers is None
-        assert options.effective_workers() == (os.cpu_count() or 1)
+        assert options.effective_workers() == usable_cores()
 
 
 class TestThreadedObservability:

@@ -1,17 +1,18 @@
-"""Fault injection, threaded matrix builds: fail loudly, drain cleanly.
+"""Fault injection, matrix builds: fail loudly, drain cleanly.
 
-The threaded bin scheduler has no retry ladder — worker threads share
-the output matrix, so a failed tile means the build's invariants are
-gone and the only honest outcome is a :class:`ComputeError` naming the
-bin.  Threads also cannot be killed: the scheduler must cancel every
-not-yet-started tile, let the in-flight ones finish, and only then
-raise.  These tests pin that contract, and pin the fault accounting:
-a threaded bin failure counts as ``kind="bin_error"`` on
-``repro_matrix_faults_total``, the only fault kind there is.
+The matrix build has no retry ladder — worker threads share the output
+matrix, so a failed tile means the build's invariants are gone and the
+only honest outcome is a :class:`ComputeError` naming the bin, whether
+the tile ran on a thread or inline in a serial build.  Threads also
+cannot be killed: the scheduler must cancel every not-yet-started tile,
+let the in-flight ones finish, and only then raise.  These tests pin
+that contract, and pin the fault accounting: a bin failure counts as
+``kind="bin_error"`` on ``repro_matrix_faults_total``, the only fault
+kind there is.
 
 Faults are injected by monkeypatching
-:func:`repro.core.matrix._compute_tile_into` — the thread worker's
-unit of work; same process, so no sentinel files are needed.
+:func:`repro.core.matrix._compute_tile_into` — every build's unit of
+work; same process, so no sentinel files are needed.
 """
 
 import re
@@ -66,15 +67,24 @@ def _fail_first_tile(monkeypatch):
     return calls
 
 
+#: Serial (tiles run inline) and threaded builds share one failure contract.
+BUILDS = pytest.mark.parametrize(
+    "workers, build",
+    [(0, "serial build"), (2, "threaded build")],
+    ids=["serial", "threaded"],
+)
+
+
 class TestThreadedTileFaults:
+    @BUILDS
     def test_failed_bin_raises_compute_error_naming_the_bin(
-        self, monkeypatch, many_tiles
+        self, monkeypatch, many_tiles, workers, build
     ):
         _fail_first_tile(monkeypatch)
         with pytest.raises(ComputeError) as exc:
-            DissimilarityMatrix.build(_segments(), options=_options())
+            DissimilarityMatrix.build(_segments(), options=_options(workers=workers))
         message = str(exc.value)
-        assert "failed in the threaded build" in message
+        assert f"failed in the {build}" in message
         assert re.search(r"matrix bin \(\d+, \d+\)", message)
         assert "injected tile fault" in message
 
@@ -103,14 +113,15 @@ class TestThreadedTileFaults:
             DissimilarityMatrix.build(_segments(), options=_options(workers=2))
         assert calls["count"] >= 1
 
+    @BUILDS
     def test_bin_error_counted_once_and_no_ladder_kinds(
-        self, monkeypatch, many_tiles
+        self, monkeypatch, many_tiles, workers, build
     ):
         _fail_first_tile(monkeypatch)
         registry = MetricsRegistry()
         with use_metrics(registry):
-            with pytest.raises(ComputeError):
-                DissimilarityMatrix.build(_segments(), options=_options())
+            with pytest.raises(ComputeError, match=build):
+                DissimilarityMatrix.build(_segments(), options=_options(workers=workers))
             counter = registry.counter(matrix_mod.FAULTS_METRIC)
             assert counter.value(kind="bin_error") == 1
             assert [dict(labels) for labels in counter.label_sets()] == [
