@@ -25,11 +25,16 @@ computing a range of rows of one uint8 block at once.  Because byte
 values live in ``[0, 255]``, every Canberra term is one of 256×256
 possible values; the kernels resolve them through a precomputed 512 KB
 lookup table (:func:`byte_term_lut`), replacing the
-abs/add/divide/where chain by a single gather.  The cross-length kernel
-compares a short block with a whole group of longer blocks: their
-m-byte windows are collected once (:func:`sliding_windows`),
-deduplicated when m ≤ :data:`WINDOW_KEY_BYTES`, scored, and reduced to
-each longer segment's sliding minimum.  Work is chunked to a fixed
+abs/add/divide/where chain by a single gather.  All three reduce the
+gathered terms of a cell to their mean through one helper: rows of up
+to 8 bytes add m 2-D term planes in numpy's own ``add.reduce`` order,
+so the result is bit-identical to ``.mean(axis=-1)`` over the 3-D
+gather without paying one inner-loop call per cell; longer rows use
+``.mean`` itself.  The cross-length kernel compares a short block with
+a whole group of longer blocks: their m-byte windows are collected
+once (:func:`sliding_windows`), deduplicated when m ≤
+:data:`WINDOW_KEY_BYTES`, scored, and reduced to each longer segment's
+sliding minimum.  Work is chunked to a fixed
 temporary budget so peak memory stays bounded.  The tests pin these
 kernels against per-pair oracles built on the two functions above.
 """
@@ -144,6 +149,63 @@ def byte_term_lut() -> np.ndarray:
     return _BYTE_TERM_LUT
 
 
+#: Widest rows :func:`_term_means` sums column by column.  numpy's
+#: ``add.reduce`` adds fewer than 8 contiguous terms left to right and
+#: exactly 8 as the tree ``((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7))``; past
+#: 8 it runs 8 strided accumulators plus a remainder, which is not
+#: mirrored here.
+COLUMN_SUM_TERMS = 8
+
+
+def _term_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean Canberra term of every row of *a* against every row of *b*.
+
+    Both are ``(count, m)`` uint8 with ``m >= 1``; returns the
+    ``(len(a), len(b))`` float64 block, bit-identical to
+    ``lut[a[:, None, :], b[None]].mean(axis=-1)``.  For m ≤
+    :data:`COLUMN_SUM_TERMS` the m terms are gathered as m 2-D
+    ``(len(a), len(b))`` planes and added in numpy's own reduction
+    order, then divided by m as ``.mean`` does: whole-plane adds
+    instead of one ufunc inner-loop call per cell, and 2-D temporaries
+    instead of an m-deep 3-D one.  Each plane first takes the LUT
+    entries of the operand with fewer rows, a narrow ``(256, rows)``
+    table, and then gathers the taller operand along it.  Wider rows
+    keep ``.mean``.
+    """
+    lut = byte_term_lut()
+    m = a.shape[1]
+    if m > COLUMN_SUM_TERMS:
+        return lut[a[:, np.newaxis, :], b[np.newaxis]].mean(axis=-1)
+    if b.shape[0] < a.shape[0]:
+
+        def term(k: int) -> np.ndarray:
+            return lut[:, b[:, k]][a[:, k]]
+
+    else:
+
+        def term(k: int) -> np.ndarray:
+            return np.take(lut[a[:, k]], b[:, k], axis=1)
+
+    if m == COLUMN_SUM_TERMS:
+
+        def pair(k: int) -> np.ndarray:
+            total = term(k)
+            total += term(k + 1)
+            return total
+
+        total = pair(0)
+        total += pair(2)
+        right = pair(4)
+        right += pair(6)
+        total += right
+    else:
+        total = term(0)
+        for k in range(1, m):
+            total += term(k)
+    total /= m
+    return total
+
+
 def pairwise_equal_length_rows(
     block: np.ndarray,
     row_start: int,
@@ -174,13 +236,10 @@ def pairwise_equal_length_rows(
     if length == 0:
         return out
     chunk_rows = _chunk_rows_for((count - row_start) * length, cells_budget)
-    lut = byte_term_lut()
-    right = block[np.newaxis, row_start:, :]
+    right = block[row_start:]
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        out[start - row_start : stop - row_start] = lut[
-            block[start:stop, np.newaxis, :], right
-        ].mean(axis=2)
+        out[start - row_start : stop - row_start] = _term_means(block[start:stop], right)
     return out
 
 
@@ -280,7 +339,7 @@ def cross_length_rows(
     :func:`equal_length_cross_rows`, and each longer segment takes the
     minimum over its own run of them by index gather.  Otherwise the
     rows slide over each longer block in turn.  Either way a window's
-    value is the same LUT gather reduced by the same mean over its m
+    value is the same LUT gather reduced in the same order over its m
     terms, and ``min`` is exact, so the result is bit-identical to a
     per-block sliding minimum.  *cells_budget* bounds every per-chunk
     temporary: the LUT gather, the window means and the minimum gather.
@@ -365,7 +424,7 @@ def equal_length_cross_rows(
 
     Each cell is the mean of the same gathered terms
     :func:`pairwise_equal_length_rows` computes for that pair inside one
-    combined bin, reduced along the same axis — so an append build that
+    combined bin, reduced in the same order — so an append build that
     routes old-vs-new pairs through this kernel stays bit-identical to
     a batch build over the union.  *cells_budget* bounds the per-chunk
     temporary exactly as in :func:`pairwise_equal_length_rows`.
@@ -387,11 +446,9 @@ def equal_length_cross_rows(
     if length_a == 0:
         return out
     chunk_rows = _chunk_rows_for(count_b * length_a, cells_budget)
-    lut = byte_term_lut()
-    right = block_b[np.newaxis, :, :]
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        out[start - row_start : stop - row_start] = lut[
-            block_a[start:stop, np.newaxis, :], right
-        ].mean(axis=2)
+        out[start - row_start : stop - row_start] = _term_means(
+            block_a[start:stop], block_b
+        )
     return out

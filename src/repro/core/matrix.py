@@ -490,11 +490,13 @@ def _run_tile(
     _, row_start, row_stop, _ = tile
     started = time.perf_counter()
     started_unix = time.time()
+    started_cpu = time.thread_time()
     attributes = _compute_tile_into(values, task, row_start, row_stop, cells_budget)
     return {
         "worker": threading.current_thread().name,
         "queue_seconds": started - enqueued,
         "wall_seconds": time.perf_counter() - started,
+        "cpu_seconds": time.thread_time() - started_cpu,
         "started_unix": started_unix,
         "attributes": attributes,
     }
@@ -565,6 +567,7 @@ def _compute_tiles_threaded(
             tracer.record(
                 "matrix.bin",
                 wall_seconds=record["wall_seconds"],
+                cpu_seconds=record["cpu_seconds"],
                 started_unix=record["started_unix"],
                 kind=task.kind,
                 len_a=task.len_a,

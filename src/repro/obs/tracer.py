@@ -168,6 +168,7 @@ class Tracer:
         name: str,
         *,
         wall_seconds: float = 0.0,
+        cpu_seconds: float = 0.0,
         started_unix: float | None = None,
         **attributes,
     ) -> Span:
@@ -178,13 +179,14 @@ class Tracer:
         would miss the caller's binding) and the tracer itself is not
         thread-safe, so workers only *measure* their tiles and the main
         thread records them after each completion.  The span is created
-        closed, with the caller-supplied wall clock; CPU seconds and
-        peak RSS are process-wide quantities that per-thread tiles
-        cannot attribute, so they stay zero/None.
+        closed, with the caller-supplied clocks: a worker measures its
+        tile's CPU with :func:`time.thread_time`, which counts only its
+        own thread.  Peak RSS is process-wide, so it stays None.
         """
         span = Span(name=name, attributes=dict(attributes))
         span.started_unix = time.time() if started_unix is None else started_unix
         span.wall_seconds = float(wall_seconds)
+        span.cpu_seconds = float(cpu_seconds)
         if self.enabled:
             if self._stack:
                 self._stack[-1].children.append(span)

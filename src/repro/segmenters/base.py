@@ -29,7 +29,8 @@ class Segmenter(abc.ABC):
     segmentation (:meth:`segment_trace`, the subclass override point)
     in one ``segment`` span on the active tracer and counts the emitted
     field candidates, so every pipeline run records its segmentation
-    stage uniformly across heuristics.
+    stage uniformly across heuristics.  The span carries the payload
+    ``bytes`` it segmented, so its time reads as a cost per byte.
     """
 
     #: short identifier used in tables ("nemesys", "netzob", "csp", ...)
@@ -50,7 +51,10 @@ class Segmenter(abc.ABC):
     def segment(self, trace: Trace) -> list[Segment]:
         """Segment every message, recorded as one ``segment`` span."""
         with get_tracer().span(
-            "segment", segmenter=self.name, messages=len(trace)
+            "segment",
+            segmenter=self.name,
+            messages=len(trace),
+            bytes=sum(len(message.data) for message in trace),
         ) as span:
             segments = self.segment_trace(trace)
             span.set(segments=len(segments))

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canberra import (
+    COLUMN_SUM_TERMS,
     DEFAULT_PENALTY_FACTOR,
+    _term_means,
     byte_term_lut,
     canberra_dissimilarity,
     cross_length_rows,
@@ -28,6 +30,7 @@ from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, unique_segments
 from tests.core.oracles import (
     cross_length_block_reference,
+    equal_length_cross_block_reference,
     pairwise_equal_length_reference,
     reference_matrix,
 )
@@ -84,6 +87,60 @@ class TestByteTermLut:
             expected = abs(i - j) / (i + j) if i + j else 0.0
             assert lut[i, j] == expected
         assert np.array_equal(lut, lut.T)
+
+
+def with_edge_rows(block, value):
+    """*block* with an all-zero first row and *value* in every byte of the second."""
+    block = block.copy()
+    block[0] = 0
+    block[1] = value
+    return block
+
+
+class TestColumnOrderedReduction:
+    """The kernels' term reduction pinned to numpy's own ``.mean``.
+
+    Rows of up to :data:`COLUMN_SUM_TERMS` bytes are reduced by adding
+    whole term planes in the order numpy's ``add.reduce`` uses inside
+    one output cell (left to right below 8 terms, a pairwise tree at
+    exactly 8).  Random byte terms make every cell's rounding depend on
+    that order, so a numpy release that changes it fails here instead
+    of in the golden corpus digests.
+    """
+
+    @pytest.mark.parametrize("m", range(1, COLUMN_SUM_TERMS + 1))
+    @pytest.mark.parametrize("rows, cols", [(61, 13), (13, 61)])
+    def test_bit_identical_to_mean_over_the_3d_gather(self, m, rows, cols):
+        # rows > cols and rows < cols take the two gather orientations;
+        # the edge rows give 0/0 terms (zero against zero) and 0 against 255.
+        rng = np.random.default_rng(m)
+        a = with_edge_rows(uint8_block(rng, rows, m), 0)
+        b = with_edge_rows(uint8_block(rng, cols, m), 255)
+        lut = byte_term_lut()
+        expected = lut[a[:, np.newaxis, :], b[np.newaxis]].mean(axis=-1)
+        assert _term_means(a, b).tobytes() == expected.tobytes()
+        assert _term_means(b, a).tobytes() == expected.T.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_kernels_equal_the_per_pair_oracles(self, m):
+        # Past COLUMN_SUM_TERMS the kernels keep ``.mean``; on both
+        # sides of the switch they equal one canberra_* call per pair.
+        rng = np.random.default_rng(100 + m)
+        block = with_edge_rows(uint8_block(rng, 9, m), 255)
+        other = uint8_block(rng, 5, m)
+        longer = uint8_block(rng, 4, m + 3)
+        assert (
+            equal_rows(block).tobytes()
+            == pairwise_equal_length_reference(block).tobytes()
+        )
+        assert (
+            equal_length_cross_rows(block, other, 0, 9).tobytes()
+            == equal_length_cross_block_reference(block, other).tobytes()
+        )
+        assert (
+            cross_rows(block, longer).tobytes()
+            == cross_length_block_reference(block, longer).tobytes()
+        )
 
 
 class TestEqualLengthKernelParity:

@@ -313,6 +313,18 @@ class TestThreadedObservability:
         assert attributes["tiles"] == built.stats.tile_count
         assert attributes["backend"] == "parallel"
 
+    def test_threaded_tiles_record_their_thread_cpu(self):
+        # Each worker measures its tile with time.thread_time(), so the
+        # tiles' CPU shows per tile, not only on the enclosing build.
+        datas = make_ragged_datas(count=200, seed=59)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            built = threaded_build(datas, 2)
+        assert built.stats.backend == "parallel"
+        bins = tracer.find("matrix.bin")
+        assert bins and all(span.cpu_seconds >= 0.0 for span in bins)
+        assert sum(span.cpu_seconds for span in bins) > 0.0
+
     def test_serial_build_has_no_threaded_artifacts(self):
         datas = make_ragged_datas(count=20, seed=53)
         tracer = Tracer()

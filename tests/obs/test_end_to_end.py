@@ -58,8 +58,13 @@ class TestFacade:
 class TestSpansPerStage:
     def test_one_span_per_pipeline_stage(self):
         tracer = Tracer()
-        analyze(ntp_trace(), tracer=tracer)
+        trace = ntp_trace()
+        analyze(trace, tracer=tracer)
         assert len(tracer.find("segment")) == 1
+        # The segment span records the payload it segmented, so its
+        # time reads as a cost per byte.
+        (segment,) = tracer.find("segment")
+        assert segment.attributes["bytes"] == sum(len(m.data) for m in trace.preprocess())
         assert len(tracer.find("pipeline")) == 1
         for stage in PIPELINE_STAGES:
             assert len(tracer.find(stage)) == 1, f"expected one {stage} span"

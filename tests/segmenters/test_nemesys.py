@@ -3,12 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.trace import Trace, TraceMessage
-from repro.segmenters.nemesys import (
-    NemesysSegmenter,
-    bit_congruence,
-    delta_bc,
-    smoothed_delta_bc,
-)
+from repro.segmenters.nemesys import NemesysSegmenter, bit_congruence
+from tests.segmenters.nemesys_oracle import delta_bc, smoothed_delta_bc
 
 
 class TestBitCongruence:
