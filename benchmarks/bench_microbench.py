@@ -110,6 +110,7 @@ MIN_PARALLEL_SPEEDUP_4CORE = 2.0
 MIN_PARALLEL_SPEEDUP_2CORE = 1.2
 
 
+@pytest.mark.usefixtures("threads_at_any_size")
 def test_matrix_kernel_grid(benchmark):
     """binned serial vs binned threaded vs the per-pair oracle, n ∈ {200, 1000}.
 
@@ -140,9 +141,7 @@ def test_matrix_kernel_grid(benchmark):
             ("serial", SERIAL),
             (
                 "parallel",
-                MatrixBuildOptions(
-                    workers=GRID_WORKERS, use_cache=False, parallel_threshold=0
-                ),
+                MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False),
             ),
         ):
             started = time.perf_counter()
@@ -252,7 +251,7 @@ def test_matrix_build_parallel(benchmark):
     serial = DissimilarityMatrix.build(segments, options=SERIAL)
     serial_seconds = time.perf_counter() - started
 
-    parallel_options = MatrixBuildOptions(use_cache=False, parallel_threshold=0)
+    parallel_options = MatrixBuildOptions(use_cache=False)
     started = time.perf_counter()
     parallel = DissimilarityMatrix.build(segments, options=parallel_options)
     parallel_seconds = time.perf_counter() - started

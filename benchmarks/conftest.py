@@ -13,6 +13,8 @@ import pytest
 
 from repro.core.matrix import MatrixBuildOptions
 from repro.core.matrixcache import cache_counters, reset_cache_counters
+# The suite's one fixture for threading small matrix builds, shared here.
+from tests.conftest import threads_at_any_size  # noqa: F401
 
 
 def pytest_addoption(parser):

@@ -18,23 +18,24 @@ Two layers:
   monotone in the overlap quality, and monotone in the length mismatch
   (see DESIGN.md for the rationale where the paper under-specifies).
 
-On top of the per-pair functions sit the three **row kernels** the
-matrix builder's tiles run (:func:`pairwise_equal_length_rows`,
-:func:`equal_length_cross_rows` and :func:`cross_length_rows`), each
-computing a range of rows of one uint8 block at once.  Because byte
-values live in ``[0, 255]``, every Canberra term is one of 256×256
-possible values; the kernels resolve them through a precomputed 512 KB
-lookup table (:func:`byte_term_lut`), replacing the
-abs/add/divide/where chain by a single gather.  All three reduce the
-gathered terms of a cell to their mean through one helper: rows of up
-to 8 bytes add m 2-D term planes in numpy's own ``add.reduce`` order,
-so the result is bit-identical to ``.mean(axis=-1)`` over the 3-D
-gather without paying one inner-loop call per cell; longer rows use
-``.mean`` itself.  The cross-length kernel compares a short block with
-a whole group of longer blocks: their m-byte windows are collected
-once (:func:`sliding_windows`), deduplicated when m ≤
-:data:`WINDOW_KEY_BYTES`, scored, and reduced to each longer segment's
-sliding minimum.  Work is chunked to a fixed
+On top of the per-pair functions sit the two **row kernels** the
+matrix builder's tiles run, each computing a range of rows of one uint8
+block at once: :func:`equal_length_cross_rows` for equal-length pairs
+(an equal-length bin's upper band is its rows against the bin from the
+tile's first row on) and :func:`cross_length_rows` for unequal
+lengths.  Because byte values live in ``[0, 255]``, every Canberra
+term is one of 256×256 possible values; the kernels resolve them
+through a precomputed 512 KB lookup table (:func:`byte_term_lut`),
+replacing the abs/add/divide/where chain by a single gather.  Both
+reduce the gathered terms of a cell to their mean through one helper:
+rows of up to 8 bytes add m 2-D term planes in numpy's own
+``add.reduce`` order, so the result is bit-identical to
+``.mean(axis=-1)`` over the 3-D gather without paying one inner-loop
+call per cell; longer rows use ``.mean`` itself.  The cross-length
+kernel compares a short block with a whole group of longer blocks:
+their m-byte windows are collected once (:func:`sliding_windows`),
+deduplicated when m ≤ :data:`WINDOW_KEY_BYTES`, scored, and reduced to
+each longer segment's sliding minimum.  Work is chunked to a fixed
 temporary budget so peak memory stays bounded.  The tests pin these
 kernels against per-pair oracles built on the two functions above.
 """
@@ -206,43 +207,6 @@ def _term_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def pairwise_equal_length_rows(
-    block: np.ndarray,
-    row_start: int,
-    row_stop: int,
-    *,
-    cells_budget: int | None = None,
-) -> np.ndarray:
-    """Rows ``[row_start, row_stop)`` of one equal-length bin, upper band.
-
-    The matrix scheduler's equal-length tile: returns a
-    ``(row_stop - row_start, count - row_start)`` float64 array whose
-    cell ``(i - row_start, j - row_start)`` is the dissimilarity of
-    segments *i* and *j* for ``j >= row_start``; rows ``[0, count)``
-    give the whole symmetric square.  Every cell is the mean of the
-    same gathered terms no matter how rows are tiled or chunked, so
-    tiled builds stay bit-identical to one whole-bin tile.
-    *cells_budget* caps the per-chunk temporary (default: the whole
-    :data:`CHUNK_CELL_BUDGET`); the threaded scheduler divides it across
-    workers so aggregate peak memory is worker-count independent.
-    """
-    block = _uint8_block(block)
-    count, length = block.shape
-    if not 0 <= row_start <= row_stop <= count:
-        raise ValueError(
-            f"tile rows [{row_start}, {row_stop}) outside block of {count} rows"
-        )
-    out = np.zeros((row_stop - row_start, count - row_start), dtype=np.float64)
-    if length == 0:
-        return out
-    chunk_rows = _chunk_rows_for((count - row_start) * length, cells_budget)
-    right = block[row_start:]
-    for start in range(row_start, row_stop, chunk_rows):
-        stop = min(start + chunk_rows, row_stop)
-        out[start - row_start : stop - row_start] = _term_means(block[start:stop], right)
-    return out
-
-
 #: Longest window the cross-length kernel deduplicates: up to 8 bytes
 #: pack into one big-endian ``uint64`` key, so ``np.unique`` sorts plain
 #: integers.  Longer windows would need a void-row ``np.unique``, which
@@ -412,22 +376,23 @@ def equal_length_cross_rows(
     *,
     cells_budget: int | None = None,
 ) -> np.ndarray:
-    """Rows ``[row_start, row_stop)`` of an equal-length *rectangular* bin.
+    """Rows ``[row_start, row_stop)`` of *block_a* against every row of *block_b*.
 
-    The incremental (append) build needs dissimilarities between two
-    *disjoint* groups of segments of the same length — new rows against
-    old columns — which is neither the triangular within-bin kernel
-    (:func:`pairwise_equal_length_rows`) nor the sliding cross-length
-    kernel.  Returns the ``(row_stop - row_start, count_b)`` block of
-    normalized Canberra distances between rows of *block_a* and all rows
-    of *block_b* (both ``(count, length)`` uint8 with the same length).
-
-    Each cell is the mean of the same gathered terms
-    :func:`pairwise_equal_length_rows` computes for that pair inside one
-    combined bin, reduced in the same order — so an append build that
-    routes old-vs-new pairs through this kernel stays bit-identical to
-    a batch build over the union.  *cells_budget* bounds the per-chunk
-    temporary exactly as in :func:`pairwise_equal_length_rows`.
+    The equal-length kernel: both blocks are ``(count, length)`` uint8
+    with the same length, and the result is the
+    ``(row_stop - row_start, count_b)`` block of normalized Canberra
+    distances.  It serves every equal-length tile of the matrix
+    builder: an equal-length bin's upper band is
+    ``equal_length_cross_rows(block, block[row_start:], row_start,
+    row_stop)``, and an append's new-vs-old rectangle pairs the new
+    block with the old one.  Every cell is the mean of the same
+    gathered terms, reduced in the same order, no matter how rows are
+    tiled or chunked or which block a pair sits in — so tiled builds
+    stay bit-identical to one whole-bin tile, and an appended matrix to
+    a batch build over the union.  *cells_budget* caps the per-chunk
+    temporary (default: the whole :data:`CHUNK_CELL_BUDGET`); the
+    threaded scheduler divides it across workers so aggregate peak
+    memory is worker-count independent.
     """
     block_a = _uint8_block(block_a)
     block_b = _uint8_block(block_b)

@@ -11,22 +11,22 @@ every longer block, so the longer segments'
 m-byte windows are collected (and deduplicated) once per short length.
 Every task is cut into row tiles, and every tile runs one vectorized
 row kernel of :mod:`repro.core.canberra`: a byte-term lookup table
-gather, and a sliding minimum over deduplicated windows for unequal
-lengths.  A tile is the only way a cell is computed; it runs in one of
-two places, and the disk cache can skip it:
+gather over equal-length rows, and a sliding minimum over deduplicated
+windows for unequal lengths.  A tile is the only way a cell is
+computed, and one scheduler (:func:`_compute_tiles`) runs the whole
+tile queue, longest-processing-time-first, in one of two places; the
+disk cache can skip it:
 
-- **threads** — above :attr:`MatrixBuildOptions.parallel_threshold`
-  segments with more than one worker, the tasks, sub-tiled to the
-  kernel's ~160 MB temporary budget, form a work queue scheduled
-  longest-processing-time-first onto a
+- **threads** — from :data:`PARALLEL_THRESHOLD` segments on with more
+  than one worker, the queue runs on a
   :class:`concurrent.futures.ThreadPoolExecutor`
   (:attr:`MatrixBuildOptions.workers`, default: the usable cores).
   The numpy LUT gathers release the GIL, so worker threads share the
   uint8 blocks and the output matrix (RAM or memmap) zero-copy: each
   worker writes its disjoint tile straight into the output — no result
   shipping, no pickling;
-- **serial** — otherwise each task runs inline as one whole-row tile
-  on the calling thread, in task order;
+- **serial** — otherwise the same queue is walked inline on the calling
+  thread;
 - **cached** — a content-addressed ``.npz`` on disk
   (:mod:`repro.core.matrixcache`) short-circuits the whole computation
   for a previously seen segment set + penalty factor.
@@ -48,7 +48,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -61,7 +61,6 @@ from repro.core.canberra import (
     DEFAULT_PENALTY_FACTOR,
     cross_length_rows,
     equal_length_cross_rows,
-    pairwise_equal_length_rows,
     sliding_windows,
 )
 from repro.core.membound import divide_bound, rows_per_block
@@ -92,6 +91,11 @@ DTYPES = (DTYPE_FLOAT64, DTYPE_FLOAT32)
 STORAGE_RAM = "ram"
 STORAGE_MEMMAP = "memmap"
 STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
+
+#: Minimum unique-segment count before starting worker threads pays
+#: for itself; below it every build walks its tile queue inline,
+#: whatever :attr:`MatrixBuildOptions.workers` says.
+PARALLEL_THRESHOLD = 512
 
 #: How many chunk budgets the threaded scheduler carves from each
 #: worker's share of :data:`repro.core.canberra.CHUNK_CELL_BUDGET`.  A
@@ -132,8 +136,8 @@ class MatrixBuildOptions:
     """Execution knobs for :meth:`DissimilarityMatrix.build`.
 
     The defaults are safe for library use: auto worker count (serial on
-    single-core machines and below the parallel threshold) and no disk
-    cache.  ``options=None`` anywhere means ``MatrixBuildOptions()``.
+    single-core machines and below :data:`PARALLEL_THRESHOLD` segments)
+    and no disk cache.  ``options=None`` anywhere means ``MatrixBuildOptions()``.
     The CLIs enable the cache and expose every knob as a flag.
     """
 
@@ -146,9 +150,6 @@ class MatrixBuildOptions:
     use_cache: bool = False
     #: Cache location; None means ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
     cache_dir: str | Path | None = None
-    #: Minimum unique-segment count before starting worker threads pays
-    #: for itself; below it the serial path runs regardless of ``workers``.
-    parallel_threshold: int = 512
     #: Value dtype: "float64" (bit-exact reference, default) or
     #: "float32" (half the resident matrix memory for large traces;
     #: each value rounds once from the float64 block result).
@@ -207,8 +208,9 @@ class BuildStats:
     workers: int = 1
     #: Independent work items (same-length bins + cross-length groups).
     task_count: int = 0
-    #: Scheduled tiles on the threaded backend (bins sub-tiled to the
-    #: kernel's temporary budget); 0 elsewhere.
+    #: Tiles in the build's queue (tasks sub-tiled to the kernel's
+    #: temporary budget), the same whether they ran inline or on threads;
+    #: 0 on a cache hit.
     tile_count: int = 0
     #: Unique segment pairs computed by the vectorized kernel.
     pairs_vectorized: int = 0
@@ -366,13 +368,8 @@ def _tasks(
     return tasks
 
 
-def _task_pair_count(task: _Task) -> int:
-    """Unique segment pairs one task covers."""
-    return _tile_pair_count(task, 0, task.block_a.shape[0])
-
-
 def _task_tiles(tasks: list[_Task]) -> list[tuple[int, int, int, int]]:
-    """The threaded scheduler's work queue: ``(task, row_start, row_stop, cost)``.
+    """The build's work queue: ``(task, row_start, row_stop, cost)``.
 
     Each task is sub-tiled along its rows so one tile's gather stays
     inside the kernel's fixed temporary budget
@@ -437,14 +434,14 @@ def _compute_tile_into(
     attributes: dict = {}
     rows = task.rows[row_start:row_stop]
     cols = task.cols
-    if task.kind == "same":
-        tile = pairwise_equal_length_rows(
-            task.block_a, row_start, row_stop, cells_budget=cells_budget
-        )
-        cols = task.cols[row_start:]
-    elif task.kind == "eqcross":
+    if task.kind != "cross":
+        right = task.block_b
+        if task.kind == "same":
+            # The upper band: the tile's rows against every row from its first on.
+            right = task.block_a[row_start:]
+            cols = task.cols[row_start:]
         tile = equal_length_cross_rows(
-            task.block_a, task.block_b, row_start, row_stop, cells_budget=cells_budget
+            task.block_a, right, row_start, row_stop, cells_budget=cells_budget
         )
     else:
         windows = sliding_windows(task.block_b, task.len_a)
@@ -479,9 +476,9 @@ def _run_tile(
     cells_budget: int,
     enqueued: float,
 ) -> dict:
-    """Thread worker wrapper: compute + measure one tile.
+    """Compute + measure one tile, on a worker thread or inline.
 
-    Returns the observability record the main thread turns into a
+    Returns the observability record the calling thread turns into a
     ``matrix.bin`` span and queue-wait histogram sample — workers never
     touch the tracer or metrics registry themselves (both are bound via
     :mod:`contextvars`, which executor threads do not inherit, and
@@ -502,50 +499,78 @@ def _run_tile(
     }
 
 
-def _compute_tiles_threaded(
+def _walk_inline(values: np.ndarray, tasks: list[_Task], futures: dict):
+    """Run the tiles of *futures* on the calling thread, in order, yielding each when done.
+
+    A tile whose future was cancelled meanwhile is yielded without running.
+    """
+    for future, tile in futures.items():
+        if future.set_running_or_notify_cancel():
+            try:
+                future.set_result(
+                    _run_tile(
+                        values, tasks[tile[0]], tile, CHUNK_CELL_BUDGET, time.perf_counter()
+                    )
+                )
+            except Exception as error:
+                future.set_exception(error)
+        yield tile, future
+
+
+def _compute_tiles(
     tasks: list[_Task], values: np.ndarray, workers: int, stats: BuildStats
 ) -> None:
-    """Run the tile queue on *workers* threads, writing into *values*.
+    """Run the build's tile queue into *values*: inline, or on *workers* threads.
 
-    Tiles are submitted longest-processing-time-first (by estimated
-    gather cells), so the big tasks start immediately and the small ones
-    backfill — the classic LPT bound keeps the makespan within 4/3 of
-    optimal.  Workers share the uint8 blocks and the output matrix
-    zero-copy; the kernel's temporary budget is divided across workers
-    (:func:`repro.core.membound.divide_bound`) and each worker's share
-    again by :data:`CHUNKS_PER_WORKER`, so the temporaries of concurrent
-    tiles together stay inside one serial tile's bound.
+    The one scheduler of every build.  Tiles go
+    longest-processing-time-first (by estimated gather cells): on threads
+    the big tasks start at once and the small ones backfill, keeping the
+    makespan within 4/3 of optimal; one worker walks the same queue
+    inline, so a serial build gathers the same upper bands as a threaded
+    one.  Threads share the uint8 blocks and the output matrix zero-copy
+    and split the kernel's temporary budget
+    (:func:`repro.core.membound.divide_bound`, then by
+    :data:`CHUNKS_PER_WORKER`), so concurrent tiles together stay inside
+    one inline tile's bound.
 
-    A tile that raises fails the whole build with a
-    :class:`ComputeError` naming its bin: threads cannot be killed, so
-    the scheduler cancels every not-yet-started tile, drains the ones
-    already running, and only then raises.
+    Each finished tile becomes one ``matrix.bin`` span on the calling
+    thread; threaded tiles add ``worker`` and ``queue_seconds`` and a
+    queue-wait sample.  A tile that raises fails the build with a
+    :class:`ComputeError` naming its bin: the scheduler cancels every
+    tile not started yet, drains the ones running (threads cannot be
+    killed), and only then raises.
     """
-    executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-matrix")
     tiles = _task_tiles(tasks)
     # LPT: largest estimated tile first, index as deterministic tie-break.
-    order = sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))
-    cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers * CHUNKS_PER_WORKER)
-    stats.tile_count = len(tiles)
+    queue = [tiles[i] for i in sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))]
+    stats.tile_count = len(queue)
     tracer = get_tracer()
     metrics = get_metrics()
-    queue_histogram = metrics.histogram(BIN_QUEUE_METRIC, help=_BIN_QUEUE_HELP)
-    scheduled = metrics.counter(BINS_SCHEDULED_METRIC, help=_BINS_SCHEDULED_HELP)
-    futures = {}
-    failure: tuple[tuple[int, int, int, int], BaseException] | None = None
+    threaded = workers > 1
+    executor = None
+    failure: tuple[tuple[int, int, int, int], Exception] | None = None
     drained = 0
     try:
-        for i in order:
-            tile = tiles[i]
-            task = tasks[tile[0]]
-            futures[
+        if threaded:
+            executor = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-matrix"
+            )
+            budget = divide_bound(CHUNK_CELL_BUDGET, workers * CHUNKS_PER_WORKER)
+            futures = {
                 executor.submit(
-                    _run_tile, values, task, tile, cells_budget, time.perf_counter()
-                )
-            ] = tile
-            scheduled.inc(kind=task.kind)
-        for future in as_completed(futures):
-            tile = futures[future]
+                    _run_tile, values, tasks[tile[0]], tile, budget, time.perf_counter()
+                ): tile
+                for tile in queue
+            }
+            finished = ((futures[future], future) for future in as_completed(futures))
+            queue_histogram = metrics.histogram(BIN_QUEUE_METRIC, help=_BIN_QUEUE_HELP)
+            scheduled = metrics.counter(BINS_SCHEDULED_METRIC, help=_BINS_SCHEDULED_HELP)
+            for tile in queue:
+                scheduled.inc(kind=tasks[tile[0]].kind)
+        else:
+            futures = {Future(): tile for tile in queue}
+            finished = _walk_inline(values, tasks, futures)
+        for tile, future in finished:
             task = tasks[tile[0]]
             if future.cancelled():
                 # CancelledError is a BaseException; count the tile as
@@ -558,12 +583,17 @@ def _compute_tiles_threaded(
                 metrics.counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(kind="bin_error")
                 if failure is None:
                     failure = (tile, error)
-                    # Threads cannot be killed: cancel everything still
-                    # queued, let in-flight tiles finish, then raise.
                     for pending in futures:
                         pending.cancel()
                 continue
-            queue_histogram.observe(record["queue_seconds"])
+            extra = record["attributes"]
+            if threaded:
+                queue_histogram.observe(record["queue_seconds"])
+                extra = dict(
+                    extra,
+                    worker=record["worker"],
+                    queue_seconds=round(record["queue_seconds"], 6),
+                )
             tracer.record(
                 "matrix.bin",
                 wall_seconds=record["wall_seconds"],
@@ -573,43 +603,19 @@ def _compute_tiles_threaded(
                 len_a=task.len_a,
                 len_b=task.len_b,
                 pairs=_tile_pair_count(task, tile[1], tile[2]),
-                worker=record["worker"],
                 tile=f"{tile[1]}:{tile[2]}",
-                queue_seconds=round(record["queue_seconds"], 6),
-                **record["attributes"],
+                **extra,
             )
     finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
     if failure is not None:
         (index, row_start, row_stop, _), error = failure
-        raise _bin_error(
-            tasks[index],
-            row_start,
-            row_stop,
-            f"threaded build, {drained} queued tiles drained",
-            error,
-        ) from error
-
-
-def _compute_tasks_serially(values: np.ndarray, tasks: list[_Task]) -> None:
-    """Run each task as one whole-row tile, in order, one ``matrix.bin`` span each."""
-    tracer = get_tracer()
-    for task in tasks:
-        rows = task.block_a.shape[0]
-        with tracer.span(
-            "matrix.bin",
-            kind=task.kind,
-            len_a=task.len_a,
-            len_b=task.len_b,
-            pairs=_task_pair_count(task),
-        ) as span:
-            try:
-                span.set(**_compute_tile_into(values, task, 0, rows, CHUNK_CELL_BUDGET))
-            except Exception as error:
-                get_metrics().counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(
-                    kind="bin_error"
-                )
-                raise _bin_error(task, 0, rows, "serial build", error) from error
+        where = (
+            f"threaded build, {drained} queued tiles drained" if threaded else "serial build"
+        )
+        raise _bin_error(tasks[index], row_start, row_stop, where, error) from error
+    stats.pairs_vectorized = sum(_tile_pair_count(tasks[t[0]], t[1], t[2]) for t in tiles)
 
 
 def _compute_cells(
@@ -624,9 +630,9 @@ def _compute_cells(
 
     Groups the segments by length into uint8 blocks, turns them into
     :func:`_tasks` and computes those (``old_count=0`` is a batch
-    build).  Threads engage above the parallel threshold with more than
-    one worker; otherwise the tasks run serially.  Returns whether the
-    threaded path ran.
+    build).  Threads engage from :data:`PARALLEL_THRESHOLD` segments on
+    with more than one worker; otherwise the tile queue runs inline.
+    Returns whether the threaded path ran.
     """
     blocks_started = time.perf_counter()
     old_by_length = _by_length(segments, 0, old_count)
@@ -643,14 +649,10 @@ def _compute_cells(
 
     compute_started = time.perf_counter()
     workers = options.effective_workers()
-    threaded = workers > 1 and bool(tasks) and len(segments) >= options.parallel_threshold
-    if threaded:
-        _compute_tiles_threaded(tasks, values, workers, stats)
-        stats.workers = workers
-    else:
-        _compute_tasks_serially(values, tasks)
+    threaded = workers > 1 and bool(tasks) and len(segments) >= PARALLEL_THRESHOLD
+    stats.workers = workers if threaded else 1
+    _compute_tiles(tasks, values, stats.workers, stats)
     stats.seconds["compute"] = time.perf_counter() - compute_started
-    stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
     get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
         stats.pairs_vectorized
     )

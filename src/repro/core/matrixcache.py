@@ -146,11 +146,15 @@ def cache_path(key: str, cache_dir: str | Path | None = None) -> Path:
 
 
 def matrix_checksum(values: np.ndarray) -> str:
-    """SHA-256 over the matrix payload (shape + raw float64 bytes)."""
+    """SHA-256 over the matrix payload (shape + raw value bytes).
+
+    Hashes the C-contiguous buffer in place; only a non-contiguous
+    *values* is copied first.
+    """
     digest = hashlib.sha256()
     digest.update(b"repro-matrix-payload-v2\0")
     digest.update(struct.pack("<QQ", *values.shape))
-    digest.update(np.ascontiguousarray(values).tobytes())
+    digest.update(np.ascontiguousarray(values))
     return digest.hexdigest()
 
 

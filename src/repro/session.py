@@ -61,12 +61,12 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.autoconf import configure
-from repro.core.matrix import AppendableMatrix
+from repro.core.matrix import DTYPE_FLOAT64, AppendableMatrix
 from repro.core.pipeline import ClusteringConfig, ClusteringResult, FieldTypeClusterer
 from repro.core.segments import Segment, UniqueSegment
 from repro.errors import QuarantineReport
 from repro.net.trace import Trace, TraceMessage, load_trace
-from repro.obs.export import config_fingerprint
+from repro.obs.export import config_fingerprint, jsonable
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_metrics
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.segmenters.base import Segmenter
@@ -140,12 +140,22 @@ def session_fingerprint(
 
     A checkpoint line is only replayed into a session with the same
     clustering config, segmenter, and protocol label — resuming with
-    different analysis parameters must not silently mix states.
+    different analysis parameters must not silently mix states.  Only
+    the config fields that change results count: the matrix execution
+    options (workers, cache, storage) and the post-matrix memory bound
+    only change how the work runs, so a journal resumes under any of
+    them.  Of the matrix options only the value dtype is hashed, and the
+    default dtype hashes as no options at all.
     """
+    image = jsonable(config)
+    image["memory_bound_bytes"] = None
+    options = config.matrix_options
+    dtype = options.dtype if options is not None else DTYPE_FLOAT64
+    image["matrix_options"] = None if dtype == DTYPE_FLOAT64 else {"dtype": dtype}
     return config_fingerprint(
         {
             "schema": CHECKPOINT_SCHEMA,
-            "config": config,
+            "config": image,
             "segmenter": segmenter_name,
             "protocol": protocol,
         }

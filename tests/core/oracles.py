@@ -37,7 +37,11 @@ from repro.core.segments import UniqueSegment
 
 
 def pairwise_equal_length_reference(block: np.ndarray) -> np.ndarray:
-    """Per-pair oracle for :func:`repro.core.canberra.pairwise_equal_length_rows`."""
+    """Per-pair oracle for one equal-length bin's whole symmetric square.
+
+    The kernel side is :func:`repro.core.canberra.equal_length_cross_rows`
+    of the block against itself.
+    """
     block = np.asarray(block, dtype=np.float64)
     count = block.shape[0]
     result = np.zeros((count, count), dtype=np.float64)

@@ -42,7 +42,7 @@ def distinct_segments(datas: list[bytes]) -> list[UniqueSegment]:
 
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
-THREADED = MatrixBuildOptions(workers=4, parallel_threshold=0, use_cache=False)
+THREADED = MatrixBuildOptions(workers=4, use_cache=False)
 
 datas_strategy = st.lists(
     st.binary(min_size=2, max_size=12), min_size=2, max_size=24, unique=True
@@ -125,6 +125,7 @@ class TestAppendBitIdentity:
             == np.asarray(batch.values).tobytes()
         )
 
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_threaded_append_matches_batch(self):
         rng = np.random.default_rng(11)
         segments = distinct_segments(

@@ -8,7 +8,7 @@ from repro.core.canberra import (
     canberra_distance,
     canberra_terms,
     cross_length_rows,
-    pairwise_equal_length_rows,
+    equal_length_cross_rows,
     sliding_min_distance,
     sliding_windows,
 )
@@ -107,7 +107,7 @@ class TestBlockKernels:
     def test_pairwise_block_matches_scalar(self):
         data = [b"\x01\x02\x03", b"\x03\x02\x01", b"\xff\x00\x10"]
         block = np.array([list(d) for d in data], dtype=np.uint8)
-        matrix = pairwise_equal_length_rows(block, 0, 3)
+        matrix = equal_length_cross_rows(block, block, 0, 3)
         for i in range(3):
             for j in range(3):
                 assert matrix[i, j] == pytest.approx(canberra_distance(data[i], data[j]))
@@ -129,6 +129,6 @@ class TestBlockKernels:
 
     def test_pairwise_diagonal_zero(self):
         block = np.random.default_rng(0).integers(0, 256, size=(20, 8), dtype=np.uint8)
-        matrix = pairwise_equal_length_rows(block, 0, 20)
+        matrix = equal_length_cross_rows(block, block, 0, 20)
         assert np.allclose(np.diag(matrix), 0.0)
         assert np.allclose(matrix, matrix.T)

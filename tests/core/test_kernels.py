@@ -23,7 +23,6 @@ from repro.core.canberra import (
     canberra_dissimilarity,
     cross_length_rows,
     equal_length_cross_rows,
-    pairwise_equal_length_rows,
     sliding_windows,
 )
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
@@ -59,10 +58,15 @@ def uint8_block(rng, count, length):
     return rng.integers(0, 256, size=(count, length), dtype=np.uint8)
 
 
-def equal_rows(block, cells_budget=None):
-    """Every row of one equal-length bin: the whole symmetric square."""
-    return pairwise_equal_length_rows(
-        block, 0, block.shape[0], cells_budget=cells_budget
+def equal_rows(block, row_start=0, row_stop=None, cells_budget=None):
+    """Rows ``[row_start, row_stop)`` of one equal-length bin, upper band.
+
+    The matrix builder's "same" tile: the rows against the bin from
+    *row_start* on.  All rows give the whole symmetric square.
+    """
+    row_stop = block.shape[0] if row_stop is None else row_stop
+    return equal_length_cross_rows(
+        block, block[row_start:], row_start, row_stop, cells_budget=cells_budget
     )
 
 
@@ -157,6 +161,16 @@ class TestEqualLengthKernelParity:
         assert np.array_equal(
             equal_rows(np.zeros((3, 0), dtype=np.uint8)), np.zeros((3, 3))
         )
+
+    def test_upper_band_tiles_are_the_whole_squares_bytes(self):
+        # However the rows are tiled, each tile's band holds the whole
+        # square's bytes: the builder only ever computes the bands.
+        block = uint8_block(np.random.default_rng(6), 23, 7)
+        whole = equal_rows(block)
+        for start, stop in ((0, 5), (5, 6), (6, 17), (17, 23), (23, 23)):
+            tile = equal_rows(block, start, stop, cells_budget=64)
+            assert tile.shape == (stop - start, 23 - start)
+            assert tile.tobytes() == whole[start:stop, start:].tobytes()
 
     def test_chunked_mirroring_is_consistent(self):
         # Force many tiny row chunks so the upper band spans chunks.
@@ -312,14 +326,16 @@ class TestBuildPathParity:
     """binned == pairwise oracle through the full ``DissimilarityMatrix.build``."""
 
     @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_build_parity_across_worker_counts(self, workers):
         datas = make_ragged_datas(90)
-        matrix = build(datas, workers=workers, parallel_threshold=0)
+        matrix = build(datas, workers=workers)
         assert np.abs(matrix.values - oracle(datas)).max() <= PARITY_ATOL
 
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_parallel_binned_matches_serial_pairwise(self):
         datas = make_ragged_datas(120, seed=23)
-        parallel_binned = build(datas, workers=2, parallel_threshold=0)
+        parallel_binned = build(datas, workers=2)
         assert parallel_binned.stats.backend == "parallel"
         assert np.abs(oracle(datas) - parallel_binned.values).max() <= PARITY_ATOL
 

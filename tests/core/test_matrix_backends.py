@@ -6,6 +6,9 @@ segment sets and in the degenerate configurations (one worker, a single
 length block, permuted segment order).
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core.matrixcache import (
     cache_counters,
     default_cache_dir,
     matrix_cache_key,
+    matrix_checksum,
     reset_cache_counters,
 )
 from repro.core.segments import Segment, unique_segments
@@ -40,29 +44,32 @@ def _fresh_counters():
 
 
 class TestParallelParity:
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_matches_serial_on_mixed_lengths(self):
         segments = make_segments(120)
         serial = DissimilarityMatrix.build(segments, options=SERIAL)
         parallel = DissimilarityMatrix.build(
-            segments, options=MatrixBuildOptions(workers=2, parallel_threshold=0)
+            segments, options=MatrixBuildOptions(workers=2)
         )
         assert np.allclose(serial.values, parallel.values)
         assert np.array_equal(serial.values, parallel.values)
 
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_one_worker_degenerates_to_serial(self):
         segments = make_segments(40)
         serial = DissimilarityMatrix.build(segments, options=SERIAL)
         one = DissimilarityMatrix.build(
-            segments, options=MatrixBuildOptions(workers=1, parallel_threshold=0)
+            segments, options=MatrixBuildOptions(workers=1)
         )
         assert one.stats.backend == "serial"
         assert np.array_equal(serial.values, one.values)
 
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_single_length_block(self):
         segments = make_segments(60, lengths=(4,))
         serial = DissimilarityMatrix.build(segments, options=SERIAL)
         parallel = DissimilarityMatrix.build(
-            segments, options=MatrixBuildOptions(workers=2, parallel_threshold=0)
+            segments, options=MatrixBuildOptions(workers=2)
         )
         # One length → one work item, still split into tiles.
         assert parallel.stats.task_count == 1
@@ -71,17 +78,18 @@ class TestParallelParity:
     def test_below_threshold_stays_serial(self):
         segments = make_segments(30)
         matrix = DissimilarityMatrix.build(
-            segments, options=MatrixBuildOptions(workers=4, parallel_threshold=512)
+            segments, options=MatrixBuildOptions(workers=4)
         )
         assert matrix.stats.backend == "serial"
 
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_nondefault_penalty_factor(self):
         segments = make_segments(90)
         serial = DissimilarityMatrix.build(segments, penalty_factor=0.2, options=SERIAL)
         parallel = DissimilarityMatrix.build(
             segments,
             penalty_factor=0.2,
-            options=MatrixBuildOptions(workers=2, parallel_threshold=0),
+            options=MatrixBuildOptions(workers=2),
         )
         assert np.array_equal(serial.values, parallel.values)
 
@@ -144,6 +152,32 @@ class TestCacheRoundTrip:
         options = MatrixBuildOptions(workers=1, use_cache=True)
         DissimilarityMatrix.build(segments, options=options)
         assert list((tmp_path / "custom").glob("matrix-*.npz"))
+
+
+def copying_checksum(values: np.ndarray) -> str:
+    """The checksum formula as first shipped: hash a ``tobytes()`` copy."""
+    digest = hashlib.sha256()
+    digest.update(b"repro-matrix-payload-v2\0")
+    digest.update(struct.pack("<QQ", *values.shape))
+    digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
+class TestMatrixChecksum:
+    """Existing cache entries keep verifying: the digest never changed."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_copying_formula(self, dtype):
+        values = np.random.default_rng(7).random((37, 37)).astype(dtype)
+        strided = np.random.default_rng(8).random((40, 60)).astype(dtype)[::2, 1::3]
+        for case in (values, values.T, strided, values[:0, :0]):
+            assert matrix_checksum(case) == copying_checksum(case)
+        assert not strided.flags.c_contiguous
+
+    def test_memmap_matches(self, tmp_path):
+        values = np.memmap(tmp_path / "v", dtype=np.float64, mode="w+", shape=(9, 9))
+        values[:] = np.random.default_rng(9).random((9, 9))
+        assert matrix_checksum(values) == copying_checksum(values)
 
 
 class TestDefaultOptions:

@@ -21,7 +21,13 @@ here pin that contract:
   N, negative ⇒ rejected);
 - the threaded build's observability surface (``matrix.bin`` spans
   with worker/tile tags, queue-wait histogram, scheduled-tiles
-  counter).
+  counter);
+- the one-queue contract: a serial build walks the threaded build's
+  tile queue inline — the same tiles and ``matrix.bin`` set, without
+  worker or queue-wait tags.
+
+Inputs here are small, so the module runs under the
+``threads_at_any_size`` fixture (``tests/conftest.py``).
 
 The golden-trace corpus rides through the threaded backend in
 ``tests/golden/test_golden_traces.py::test_golden_trace_threaded``.
@@ -53,6 +59,9 @@ from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import Tracer, use_tracer
 from tests.core.oracles import reference_matrix
 
+#: The suite's inputs sit below the production thread threshold.
+pytestmark = pytest.mark.usefixtures("threads_at_any_size")
+
 
 def as_unique_segments(datas):
     return unique_segments(
@@ -71,9 +80,7 @@ def serial_build(datas, **kwargs):
 
 
 def threaded_build(datas, workers, **kwargs):
-    options = MatrixBuildOptions(
-        workers=workers, use_cache=False, parallel_threshold=0, **kwargs
-    )
+    options = MatrixBuildOptions(workers=workers, use_cache=False, **kwargs)
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
 
 
@@ -161,9 +168,7 @@ class TestThreadedParity:
         datas = make_ragged_datas(count=40, seed=37)
         built = DissimilarityMatrix.build(
             as_unique_segments(datas),
-            options=MatrixBuildOptions(
-                workers=2, use_cache=False, parallel_threshold=0
-            ),
+            options=MatrixBuildOptions(workers=2, use_cache=False),
         )
         assert built.stats.backend == "parallel"
         assert built.stats.tile_count > 0
@@ -217,9 +222,7 @@ class TestGroupedCrossKernel:
         for workers in (0, 2):
             grown = AppendableMatrix(
                 segments[:60],
-                options=MatrixBuildOptions(
-                    workers=workers, use_cache=False, parallel_threshold=0
-                ),
+                options=MatrixBuildOptions(workers=workers, use_cache=False),
             )
             grown.append(segments[60:110])
             grown.append(segments[110:])
@@ -252,16 +255,15 @@ class TestWorkersConvention:
             MatrixBuildOptions(workers=-1)
 
     def test_workers_zero_forces_serial_past_the_threshold(self):
+        # The threshold is 0 here, yet workers=0 stays on the calling
+        # thread: it walks the same tile queue a threaded build runs.
         datas = make_ragged_datas(count=40, seed=43)
-        built = DissimilarityMatrix.build(
-            as_unique_segments(datas),
-            options=MatrixBuildOptions(
-                workers=0, use_cache=False, parallel_threshold=0
-            ),
-        )
-        assert built.stats.backend == "serial"
+        built = serial_build(datas)
+        threaded = threaded_build(datas, 2)
         assert built.stats.workers == 1
-        assert built.stats.tile_count == 0
+        assert threaded.stats.backend == "parallel"
+        assert built.stats.tile_count == threaded.stats.tile_count > 0
+        assert built.values.tobytes() == threaded.values.tobytes()
 
     def _parse(self, *argv):
         parser = argparse.ArgumentParser(parents=[backend_parent()])
@@ -325,15 +327,33 @@ class TestThreadedObservability:
         assert bins and all(span.cpu_seconds >= 0.0 for span in bins)
         assert sum(span.cpu_seconds for span in bins) > 0.0
 
-    def test_serial_build_has_no_threaded_artifacts(self):
+    def test_serial_build_has_no_threaded_artifacts(self, monkeypatch):
+        # A serial build runs the threaded build's tiles, one matrix.bin
+        # span each, but without the queue: no worker, no queue wait.
+        monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 256)
         datas = make_ragged_datas(count=20, seed=53)
+
+        def bins(tracer):
+            return sorted(
+                tuple(span.attributes[key] for key in ("kind", "len_a", "len_b", "tile"))
+                for span in tracer.find("matrix.bin")
+            )
+
         tracer = Tracer()
         registry = MetricsRegistry()
         with use_tracer(tracer), use_metrics(registry):
             built = serial_build(datas)
-        assert built.stats.tile_count == 0
+        threaded_tracer = Tracer()
+        with use_tracer(threaded_tracer):
+            threaded = threaded_build(datas, 2)
+        assert built.stats.tile_count == threaded.stats.tile_count
+        assert built.stats.tile_count > built.stats.task_count
+        assert bins(tracer) == bins(threaded_tracer)
+        assert len(bins(tracer)) == built.stats.tile_count
         for span in tracer.find("matrix.bin"):
             assert "worker" not in span.attributes
+            assert "queue_seconds" not in span.attributes
         assert registry.histogram(matrix_mod.BIN_QUEUE_METRIC).snapshot()[
             "count"
         ] == 0
+        assert tracer.find("matrix.build")[0].attributes["tiles"] == built.stats.tile_count

@@ -25,7 +25,7 @@ from repro.core.segments import UniqueSegment
 from repro.errors import ComputeError
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
-pytestmark = pytest.mark.faults
+pytestmark = [pytest.mark.faults, pytest.mark.usefixtures("threads_at_any_size")]
 
 _REAL_TILE = matrix_mod._compute_tile_into
 
@@ -38,11 +38,7 @@ def _segments():
 
 
 def _options(**overrides):
-    defaults = dict(
-        workers=2,
-        parallel_threshold=2,
-        use_cache=False,
-    )
+    defaults = dict(workers=2, use_cache=False)
     defaults.update(overrides)
     return MatrixBuildOptions(**defaults)
 
@@ -80,9 +76,12 @@ class TestThreadedTileFaults:
     def test_failed_bin_raises_compute_error_naming_the_bin(
         self, monkeypatch, many_tiles, workers, build
     ):
-        _fail_first_tile(monkeypatch)
+        calls = _fail_first_tile(monkeypatch)
         with pytest.raises(ComputeError) as exc:
             DissimilarityMatrix.build(_segments(), options=_options(workers=workers))
+        if workers == 0:
+            # Inline, nothing else is running: the walk stops at the failure.
+            assert calls["count"] == 1
         message = str(exc.value)
         assert f"failed in the {build}" in message
         assert re.search(r"matrix bin \(\d+, \d+\)", message)

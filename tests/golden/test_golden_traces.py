@@ -177,6 +177,7 @@ def test_golden_trace(protocol, request):
 
 @pytest.mark.parametrize("workers", [0, 2, 4])
 @pytest.mark.parametrize("protocol", GOLDEN_PROTOCOLS)
+@pytest.mark.usefixtures("threads_at_any_size")
 def test_golden_trace_worker_stability(protocol, workers, request):
     """The whole corpus again, across matrix-backend worker counts.
 
@@ -195,7 +196,6 @@ def test_golden_trace_worker_stability(protocol, workers, request):
         protocol,
         matrix_options=MatrixBuildOptions(
             workers=workers,
-            parallel_threshold=0,
             use_cache=False,
         ),
     )

@@ -39,7 +39,6 @@ def refined_nemesys(workers: int = 1) -> RefinedSegmenter:
     config = ClusteringConfig(
         matrix_options=MatrixBuildOptions(
             workers=workers,
-            parallel_threshold=0,
             use_cache=False,
         )
     )
@@ -177,6 +176,7 @@ class TestFullPass:
         assert refined is segments  # unchanged list, not just equal
         assert refiner.last_stats.boundaries_moved == 0
 
+    @pytest.mark.usefixtures("threads_at_any_size")
     def test_deterministic_across_worker_counts(self):
         model = get_model("dhcp")
         trace = model.generate(MESSAGES, seed=SEED).preprocess()

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_analysis
+from repro.core.matrix import MatrixBuildOptions
 from repro.core.pipeline import ClusteringConfig
 from repro.errors import QuarantineReport
 from repro.net.trace import Trace, TraceMessage
@@ -204,6 +205,44 @@ class TestCheckpointResume:
         assert other_config.message_count == 0
         other_protocol = AnalysisSession(protocol="q", checkpoint_path=path)
         assert other_protocol.message_count == 0
+
+    def test_resumes_under_other_execution_options(self, tmp_path):
+        # Worker count, cache, storage and memory bound change how the
+        # work runs, never its result: a journal written under one set
+        # replays under another.  The value dtype changes results.
+        path = tmp_path / "session.jsonl"
+        first = AnalysisSession(
+            ClusteringConfig(matrix_options=MatrixBuildOptions(workers=2)),
+            protocol="p",
+            checkpoint_path=path,
+        )
+        first.append(make_messages(30, seed=13))
+        resumed = AnalysisSession(
+            ClusteringConfig(
+                matrix_options=MatrixBuildOptions(
+                    workers=1,
+                    use_cache=True,
+                    cache_dir=tmp_path / "cache",
+                    storage="memmap",
+                ),
+                memory_bound_bytes=1 << 20,
+            ),
+            protocol="p",
+            checkpoint_path=path,
+        )
+        assert resumed.message_count == first.message_count > 0
+        assert (
+            np.asarray(resumed._appendable.matrix.values).tobytes()
+            == np.asarray(first._appendable.matrix.values).tobytes()
+        )
+        default = AnalysisSession(protocol="p", checkpoint_path=path)
+        assert default.message_count == first.message_count
+        float32 = AnalysisSession(
+            ClusteringConfig(matrix_options=MatrixBuildOptions(dtype="float32")),
+            protocol="p",
+            checkpoint_path=path,
+        )
+        assert float32.message_count == 0
 
     def test_torn_tail_line_is_skipped(self, tmp_path):
         path = tmp_path / "session.jsonl"
